@@ -122,8 +122,9 @@ let with_obs cmd_name (trace, stats) f =
     raise e
 
 let print_evaluation ~verbose model board archi =
-  let built = Builder.Build.build model board archi in
-  let e = Mccm.Evaluate.run built in
+  let table = Cnn.Table.of_model model in
+  let built = Builder.Build.build ~table model board archi in
+  let e = Mccm.Evaluate.run ~table built in
   Format.printf "%a@." Builder.Build.pp built;
   Format.printf "@.MCCM: %a@." Mccm.Metrics.pp e.Mccm.Evaluate.metrics;
   Format.printf "Roofline: %a@." Mccm.Roofline.pp
@@ -398,7 +399,9 @@ let layers_cmd =
       Format.eprintf "error: %s@." msg;
       1
     | Ok archi ->
-      let built = Builder.Build.build model board archi in
+      let built =
+        Builder.Build.build ~table:(Cnn.Table.of_model model) model board archi
+      in
       let rows = Mccm.Layer_report.of_build built in
       Format.printf "%a@." Mccm.Layer_report.pp rows;
       Format.printf "Hotspots (by cycles):@.";
@@ -442,7 +445,9 @@ let trace_cmd =
       Format.eprintf "error: %s@." msg;
       1
     | Ok archi -> (
-      let built = Builder.Build.build model board archi in
+      let built =
+        Builder.Build.build ~table:(Cnn.Table.of_model model) model board archi
+      in
       match Sim.Simulate.trace_block built ~block with
       | None ->
         Format.printf

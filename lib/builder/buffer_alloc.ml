@@ -54,10 +54,6 @@ type wpipe = {
 
 type wblock = Wsingle of wsingle | Wpipe of wpipe
 
-let fm_tile_bytes_of ~bpe ~width_split layer ~rows =
-  let o = Cnn.Layer.out_shape layer in
-  cd (rows * o.Cnn.Shape.width * o.Cnn.Shape.channels * bpe) width_split
-
 (* Weight streams are double-buffered at burst granularity, not at full
    filter-group granularity: the carved-out buffer caps at this many
    elements per copy.  The access model is unaffected (weights move the
@@ -183,38 +179,6 @@ let absorb_cache ~into c =
 let timed_floor compute =
   Mccm_obs.span ~cat:"build" "build.planning_floor" compute
 
-(* Process-global floor memo for table-backed, session-less plans.
-   Floors are pure functions of (model, board, layer range, engine
-   signatures) and independent of the build options; the table's uid
-   names the model cheaply, so — like {!Parallelism_select}'s global
-   memo — results can be shared across plans, sessions and domains.
-   The mutex is held only around the lookup/insert; computation runs
-   outside it (a racing duplicate computes the identical value). *)
-let global_pipes : (int * Platform.Board.t * block_key, pipe_floor) Hashtbl.t =
-  Hashtbl.create 256
-
-let global_singles :
-    (int * Platform.Board.t * block_key, single_floor) Hashtbl.t =
-  Hashtbl.create 256
-
-let global_lock = Mutex.create ()
-
-let memo_global tbl key compute =
-  let cached =
-    Mutex.lock global_lock;
-    let r = Hashtbl.find_opt tbl key in
-    Mutex.unlock global_lock;
-    r
-  in
-  match cached with
-  | Some v -> v
-  | None ->
-    let v = timed_floor compute in
-    Mutex.lock global_lock;
-    (if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
-    Mutex.unlock global_lock;
-    v
-
 let memo_block tbl cache key compute =
   match cache with
   | None -> timed_floor compute
@@ -232,104 +196,36 @@ let memo_block tbl cache key compute =
       Block_tbl.add tbl key v;
       v)
 
-let plan ?(minimal = false) ?cache ?table model board archi ~engines =
-  (match table with Some t -> Cnn.Table.check t model | None -> ());
+let plan ?(minimal = false) ?cache ~table board archi ~engines =
   let bpe = board.Platform.Board.bytes_per_element in
   let bram = board.Platform.Board.bram_bytes in
   let blocks = Array.of_list archi.Arch.Block.blocks in
   let nb = Array.length blocks in
-  let total_macs =
-    max 1
-      (match table with
-      | Some t -> Cnn.Table.total_macs t
-      | None -> Cnn.Model.total_macs model)
-  in
-  let weight_bytes i =
-    match table with
-    | Some t -> bpe * Cnn.Table.weight_elements t i
-    | None -> bpe * Cnn.Layer.weight_elements (Cnn.Model.layer model i)
-  in
-  (* Table-aware per-layer reads (absolute layer index).  Each computes
-     exactly the integer the [Layer.t] reference produces; the table
-     path just skips the [out_shape] recomputation and extent-list
-     allocations. *)
-  let out_h_at i =
-    match table with
-    | Some t -> Cnn.Table.out_height t i
-    | None -> (Cnn.Layer.out_shape (Cnn.Model.layer model i)).Cnn.Shape.height
-  in
+  let total_macs = max 1 (Cnn.Table.total_macs table) in
+  let weight_bytes i = bpe * Cnn.Table.weight_elements table i in
+  let out_h_at i = Cnn.Table.out_height table i in
   let fm_tile_at ~width_split i ~rows =
-    match table with
-    | Some t ->
-      cd (rows * Cnn.Table.out_width t i * Cnn.Table.out_channels t i * bpe)
-        width_split
-    | None ->
-      fm_tile_bytes_of ~bpe ~width_split (Cnn.Model.layer model i) ~rows
+    Tiling.fm_tile_bytes_at ~bpe ~width_split table i ~rows
   in
-  let weight_tile_elements_at e i =
-    match table with
-    | Some t ->
-      let total = Cnn.Table.weight_elements t i in
-      let filters = if Cnn.Table.is_depthwise t i then 1 else Cnn.Table.out_channels t i in
-      let par_f =
-        Engine.Parallelism.factor e.Engine.Ce.parallelism
-          Engine.Parallelism.Filters
-      in
-      cd total (cd filters (max 1 par_f))
-    | None -> Tiling.weight_tile_elements e (Cnn.Model.layer model i)
-  in
-  let tile_cycles_at e i ~rows =
-    match table with
-    | Some t -> Engine.Ce.tile_cycles_at e t i ~rows
-    | None -> Engine.Ce.tile_cycles e (Cnn.Model.layer model i) ~rows
-  in
-  let memo sel_session sel_global key compute =
-    match (cache, table) with
-    | None, Some t ->
-      memo_global sel_global (Cnn.Table.uid t, board, key) compute
-    | _ -> memo_block sel_session cache key compute
-  in
+  let weight_tile_elements_at e i = Tiling.weight_tile_elements_at e table i in
+  let tile_cycles_at e i ~rows = Engine.Ce.tile_cycles_at e table i ~rows in
   let make_single ~ce ~first ~last =
     let engine = engines.(ce) in
     let floor =
-      memo
+      memo_block
         (fun c -> c.singles)
-        global_singles
+        cache
         (block_key ~first ~last [| engine_sig engine |])
         (fun () ->
-          match table with
-          | Some t ->
-            let wt = ref 1 and mf = ref 1 in
-            for i = first to last do
-              wt := max !wt (weight_tile_elements_at engine i);
-              mf :=
-                max !mf
-                  (Cnn.Table.band1_elements t i
-                  + (Cnn.Table.out_width t i * Cnn.Table.out_channels t i))
-            done;
-            let fm_ideal = bpe * Cnn.Table.max_fms_range t ~first ~last in
-            { sf_weights_tile =
-                2 * bpe * min weight_stream_granule_elements !wt;
-              sf_fm_min = min fm_ideal (bpe * !mf);
-              sf_fm_ideal = fm_ideal }
-          | None ->
-            let range = Cnn.Model.layers_in_range model ~first ~last in
-            let weights_tile =
-              2 * bpe
-              * min weight_stream_granule_elements
-                  (List.fold_left
-                     (fun a l -> max a (Tiling.weight_tile_elements engine l))
-                     1 range)
-            in
-            let fm_ideal = bpe * Cnn.Model.max_fms_elements model ~first ~last in
-            let fm_min =
-              min fm_ideal
-                (bpe
-                * List.fold_left (fun a l -> max a (Tiling.min_fm_elements l)) 1 range
-                )
-            in
-            { sf_weights_tile = weights_tile; sf_fm_min = fm_min;
-              sf_fm_ideal = fm_ideal })
+          let wt = ref 1 and mf = ref 1 in
+          for i = first to last do
+            wt := max !wt (weight_tile_elements_at engine i);
+            mf := max !mf (Tiling.min_fm_elements_at table i)
+          done;
+          let fm_ideal = bpe * Cnn.Table.max_fms_range table ~first ~last in
+          { sf_weights_tile = 2 * bpe * min weight_stream_granule_elements !wt;
+            sf_fm_min = min fm_ideal (bpe * !mf);
+            sf_fm_ideal = fm_ideal })
     in
     Wsingle
       { s_weights_tile = floor.sf_weights_tile; s_fm_min = floor.sf_fm_min;
@@ -376,14 +272,7 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
        latency estimate - max of the skewed compute schedule and the
        off-chip traffic it implies at the retention its FM tiles leave
        room for - and the cheapest feasible one wins. *)
-    let hard =
-      let block_macs =
-        match table with
-        | Some t -> Cnn.Table.macs_range t ~first ~last
-        | None -> Cnn.Model.macs_in_range model ~first ~last
-      in
-      bram * block_macs / total_macs
-    in
+    let hard = bram * Cnn.Table.macs_range table ~first ~last / total_macs in
     let w_b = Array.init n (fun i -> weight_bytes (first + i)) in
     let num_rounds = cd n ces in
     let staging_est =
@@ -495,9 +384,9 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
     let ces = ce_last - ce_first + 1 in
     let engs = Array.sub engines ce_first ces in
     let floor =
-      memo
+      memo_block
         (fun c -> c.pipes)
-        global_pipes
+        cache
         (block_key ~first ~last (Array.map engine_sig engs))
         (pipe_floor ~engs ~first ~last)
     in
@@ -522,7 +411,7 @@ let plan ?(minimal = false) ?cache ?table model board archi ~engines =
   let inter_bytes =
     Array.init (max 0 (nb - 1)) (fun i ->
         let _, last = Arch.Block.layer_range blocks.(i) in
-        bpe * Cnn.Shape.elements (Cnn.Layer.out_shape (Cnn.Model.layer model last)))
+        bpe * Cnn.Table.ofm_elements table last)
   in
   let inter_on = Array.make (max 0 (nb - 1)) false in
   let restage p =
@@ -739,7 +628,7 @@ let audit model board archi (t : t) =
                   (first + i) rows oh
               else begin
                 let expect =
-                  fm_tile_bytes_of ~bpe ~width_split:(max 1 p.width_split) layer
+                  Tiling.fm_tile_bytes ~bpe ~width_split:(max 1 p.width_split) layer
                     ~rows
                 in
                 if p.fm_tile_bytes.(i) <> expect then

@@ -79,13 +79,14 @@ val cache_misses : cache -> int
 val plan :
   ?minimal:bool ->
   ?cache:cache ->
-  ?table:Cnn.Table.t ->
-  Cnn.Model.t ->
+  table:Cnn.Table.t ->
   Platform.Board.t ->
   Arch.Block.arch ->
   engines:Engine.Ce.t array ->
   t
-(** [plan model board archi ~engines] sizes every buffer.  Starting
+(** [plan ~table board archi ~engines] sizes every buffer of [archi]
+    over the model [table] was built from, reading every per-layer
+    scalar from [table].  Starting
     from the floor (row-streaming FM minima, nothing retained, no
     inter-segment buffers), leftover BRAM is spent greedily: first on
     retaining multi-tile pipelined weights (ordered by streaming traffic
@@ -98,7 +99,8 @@ val plan :
 
     [cache] memoizes the per-block floors across calls; plans produced
     with and without a cache are bit-identical (the cache only skips
-    recomputing pure functions).
+    recomputing pure functions).  Without a cache the floors are simply
+    recomputed: nothing is memoised process-wide.
 
     [engines] must be the architecture's engines indexed by CE id
     (as produced by {!Build.build}). *)

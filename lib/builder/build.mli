@@ -67,18 +67,22 @@ val plan_cache : cache -> Buffer_alloc.cache
 val build :
   ?options:options ->
   ?cache:cache ->
-  ?table:Cnn.Table.t ->
+  table:Cnn.Table.t ->
   Cnn.Model.t ->
   Platform.Board.t ->
   Arch.Block.arch ->
   t
-(** [build model board archi] instantiates [archi] on [board].  Engine
-    ids are 1-based CE indices; the PE allocations sum to exactly
-    [board.dsps].  [cache] memoizes {!Buffer_alloc} planning floors and
-    per-CE parallelism choices across calls that share (model, board,
-    options); results are bit-identical with and without it.
+(** [build ~table model board archi] instantiates [archi] on [board].
+    Every per-layer scalar is read from [table], which must have been
+    built from [model] ({!Cnn.Table.of_model}).  Engine ids are 1-based
+    CE indices; the PE allocations sum to exactly [board.dsps].
+    [cache] memoizes {!Buffer_alloc} planning floors and per-CE
+    parallelism choices across calls that share (model, board,
+    options); results are bit-identical with and without it.  Without a
+    cache, a build recomputes them (only {!Parallelism_select}'s
+    content-keyed search memo is shared process-wide).
     @raise Invalid_argument if the architecture has more engines than
-    the board has DSPs. *)
+    the board has DSPs, or if [table] was built from another model. *)
 
 val engine_for_layer : t -> int -> Engine.Ce.t
 (** [engine_for_layer t i] is the engine that runs layer [i]: the

@@ -22,20 +22,27 @@ let next_smooth_geq n =
   if n <= 1 then 1
   else List.find (fun s -> s >= n) (smooth_upto (2 * n))
 
-(* choose is on the DSE hot path (thousands of engines per sweep) and
-   candidate evaluation is pure, so results are memoised by the engine's
-   PE count and the layers' loop-extent signature.  Exploration runs in
-   parallel domains; the table is mutex-protected. *)
+(* The one process-global memo in the builder and the cost models:
+   [solve]'s results keyed by content — (PE count, unroll mode, the
+   layers' loop-extent terms) — never by a table or session identity.
+   Repeated content hits the same entry whichever table, session or
+   one-shot evaluation asks, so repeated requests do not grow it: 4 000
+   one-shot Res50/VCU108 segmented/4 evaluations leave 4 entries.  It
+   grows only with distinct engine workloads (bounding it for arbitrary
+   user models is open work).  It stays global because one-shot
+   evaluations (the daemon's registry-full fallback, [Validate],
+   [mccm eval]) have no session to own it, and the search dominates
+   them: on VCU108, segmented/4 and hybrid/4 one-shot evaluations of
+   Res50, Res152, MobV2 and Dns121 take 39–155 µs with it and
+   2.8–5.5 ms without (2-core Xeon, release build).  Exploration runs
+   in parallel domains, hence the mutex. *)
 let cache :
     (int * bool * (int * int * int * int) list, P.t) Hashtbl.t =
   Hashtbl.create 64
 
 let cache_lock = Mutex.create ()
 
-(* The search proper, keyed by the loop-extent signature.  [choose] and
-   [choose_indices] build identical (pes, channel_mode, terms) keys from
-   the layer list and the table respectively, so the two entry points
-   share memoised results. *)
+(* The search proper, keyed by the loop-extent signature. *)
 let solve ~pes ~channel_mode ~terms =
     let key = (pes, channel_mode, terms) in
     let cached =
@@ -85,42 +92,6 @@ let solve ~pes ~channel_mode ~terms =
       Mutex.unlock cache_lock;
       p
 
-let choose ~pes ~layers =
-  if pes < 1 then invalid_arg "Parallelism_select.choose: pes < 1";
-  match layers with
-  | [] -> P.scalar
-  | _ ->
-    let dw_macs, total_macs =
-      List.fold_left
-        (fun (dw, tot) l ->
-          let m = Cnn.Layer.macs l in
-          ((if l.Cnn.Layer.kind = Cnn.Layer.Depthwise then dw + m else dw),
-           tot + m))
-        (0, 0) layers
-    in
-    let channel_mode = 2 * dw_macs >= total_macs in
-    (* Per layer: (first-dim extent, height, width, product of the
-       un-unrolled extents). *)
-    let terms =
-      List.map
-        (fun l ->
-          let e d = Cnn.Layer.loop_extent l d in
-          let k2 = e `Kernel_h * e `Kernel_w in
-          let h = e `Height and w = e `Width in
-          if channel_mode then (e `Channels, h, w, e `Filters * k2)
-          else (e `Filters, h, w, e `Channels * k2))
-        layers
-    in
-    solve ~pes ~channel_mode ~terms
-
-(* Front cache for the table entry point, keyed by (table uid, pes,
-   layer indices) — the caller's index list is hashed as-is, so a hit
-   costs no per-layer work at all (the terms-keyed cache below still
-   unifies results across tables and with [choose], but building its
-   key walks every layer). *)
-let fast_cache : (int * int * int list, P.t) Hashtbl.t = Hashtbl.create 256
-let fast_lock = Mutex.create ()
-
 (* ------------------------------------------------------ cycle floors *)
 
 (* Divisor candidates for minimising [d -> ceil_div e d] under a cap:
@@ -166,38 +137,17 @@ let min_cycles_mode ~budget ~e1 ~eh ~ew ~rest =
     (ceil_candidates e1 budget);
   !best
 
-(* Floors are probed repeatedly with per-layer budgets by the DSE bound
-   precomputation; same mutex-protected memo idiom as the caches above. *)
-let floor_cache : (int * int * int, int) Hashtbl.t = Hashtbl.create 256
-let floor_lock = Mutex.create ()
-
 let cycle_floor ~pes table i =
   if pes < 1 then invalid_arg "Parallelism_select.cycle_floor: pes < 1";
-  let key = (Cnn.Table.uid table, pes, i) in
-  let cached =
-    Mutex.lock floor_lock;
-    let r = Hashtbl.find_opt floor_cache key in
-    Mutex.unlock floor_lock;
-    r
-  in
-  match cached with
-  | Some c -> c
-  | None ->
-    let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
-    let k2 = ekh * ekw in
-    (* Engines unroll (Filters, Height, Width) or (Channels, Height,
-       Width); the floor takes the min over both modes, so it holds
-       whichever mode [choose]/[choose_indices] (or the naive-cube
-       ablation) ends up in. *)
-    let c =
-      min
-        (min_cycles_mode ~budget:pes ~e1:ef ~eh ~ew ~rest:(ec * k2))
-        (min_cycles_mode ~budget:pes ~e1:ec ~eh ~ew ~rest:(ef * k2))
-    in
-    Mutex.lock floor_lock;
-    (if not (Hashtbl.mem floor_cache key) then Hashtbl.add floor_cache key c);
-    Mutex.unlock floor_lock;
-    c
+  let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
+  let k2 = ekh * ekw in
+  (* Engines unroll (Filters, Height, Width) or (Channels, Height,
+     Width); the floor takes the min over both modes, so it holds
+     whichever mode [choose_indices] (or the naive-cube ablation) ends
+     up in. *)
+  min
+    (min_cycles_mode ~budget:pes ~e1:ef ~eh ~ew ~rest:(ec * k2))
+    (min_cycles_mode ~budget:pes ~e1:ec ~eh ~ew ~rest:(ef * k2))
 
 let utilization_ceiling ~pes table i =
   let floor = cycle_floor ~pes table i in
@@ -210,17 +160,7 @@ let choose_indices ~pes table indices =
   if pes < 1 then invalid_arg "Parallelism_select.choose_indices: pes < 1";
   match indices with
   | [] -> P.scalar
-  | _ -> (
-    let fast_key = (Cnn.Table.uid table, pes, indices) in
-    let cached =
-      Mutex.lock fast_lock;
-      let r = Hashtbl.find_opt fast_cache fast_key in
-      Mutex.unlock fast_lock;
-      r
-    in
-    match cached with
-    | Some p -> p
-    | None ->
+  | _ ->
     let dw_macs, total_macs =
       List.fold_left
         (fun (dw, tot) i ->
@@ -229,6 +169,8 @@ let choose_indices ~pes table indices =
         (0, 0) indices
     in
     let channel_mode = 2 * dw_macs >= total_macs in
+    (* Per layer: (first-dim extent, height, width, product of the
+       un-unrolled extents). *)
     let terms =
       List.map
         (fun i ->
@@ -238,9 +180,4 @@ let choose_indices ~pes table indices =
           else (ef, eh, ew, ec * k2))
         indices
     in
-    let p = solve ~pes ~channel_mode ~terms in
-    Mutex.lock fast_lock;
-    (if not (Hashtbl.mem fast_cache fast_key) then
-       Hashtbl.add fast_cache fast_key p);
-    Mutex.unlock fast_lock;
-    p)
+    solve ~pes ~channel_mode ~terms

@@ -10,20 +10,6 @@ val smooth_degree : int -> int
 (** [smooth_degree n] is the largest 7-smooth number that is at most
     [n], or 1 when [n < 1]. *)
 
-val choose : pes:int -> layers:Cnn.Layer.t list -> Engine.Parallelism.t
-(** [choose ~pes ~layers] picks a 3-D parallelism whose total degree is
-    at most [pes], minimising the summed Eq.-1 cycle count of [layers].
-
-    The unrolled dimensions are (Filters, Height, Width) unless the
-    layer list is dominated by depthwise MACs, in which case
-    (Channels, Height, Width) is unrolled instead — depthwise layers
-    have a filter extent of 1, so filter unrolling would leave the
-    engine idle.  Ties prefer a larger first-dimension factor, then a
-    larger height factor.  Returns {!Engine.Parallelism.scalar} for an
-    empty layer list.
-
-    @raise Invalid_argument if [pes < 1]. *)
-
 val cycle_floor : pes:int -> Cnn.Table.t -> int -> int
 (** [cycle_floor ~pes table i] is the minimum Eq.-1 cycle count of the
     table's layer [i] over {e every} integer 3-D parallelism of total
@@ -32,8 +18,9 @@ val cycle_floor : pes:int -> Cnn.Table.t -> int -> int
     ones.  It therefore lower-bounds the per-layer cycles of any engine
     this module (or the naive-cube ablation) can construct with at most
     [pes] PEs, which makes it the compute-floor primitive of the DSE
-    pruning bounds ({!Dse.Bounds}).  Nonincreasing in [pes]; results
-    are memoised per (table, pes, layer).
+    pruning bounds ({!Dse.Bounds}).  Nonincreasing in [pes].  Not
+    memoised here: {!Dse.Bounds} computes each (PE level, layer) floor
+    once per bound context.
     @raise Invalid_argument if [pes < 1]. *)
 
 val utilization_ceiling : pes:int -> Cnn.Table.t -> int -> float
@@ -45,8 +32,21 @@ val utilization_ceiling : pes:int -> Cnn.Table.t -> int -> float
 
 val choose_indices :
   pes:int -> Cnn.Table.t -> int list -> Engine.Parallelism.t
-(** [choose_indices ~pes table indices] is [choose ~pes ~layers] for the
-    table's layers at [indices], reading extents and MAC counts from the
-    precomputed table instead of [Cnn.Layer] accessors.  Both entry
-    points build identical memo keys, so they share cached results and
-    return bit-identical parallelisms. *)
+(** [choose_indices ~pes table indices] picks a 3-D parallelism whose
+    total degree is at most [pes], minimising the summed Eq.-1 cycle
+    count of the table's layers at [indices].
+
+    The unrolled dimensions are (Filters, Height, Width) unless the
+    layers are dominated by depthwise MACs, in which case
+    (Channels, Height, Width) is unrolled instead — depthwise layers
+    have a filter extent of 1, so filter unrolling would leave the
+    engine idle.  Ties prefer a larger first-dimension factor, then a
+    larger height factor.  Returns {!Engine.Parallelism.scalar} for an
+    empty index list.
+
+    The search is memoised process-wide by content — (pes, unroll mode,
+    the layers' loop-extent terms) — so identical workloads from any
+    table, session or one-shot evaluation share one entry.  Per-CE
+    results are additionally cached per session in {!Build.cache}.
+
+    @raise Invalid_argument if [pes < 1]. *)

@@ -5,7 +5,12 @@
     rows.  These helpers convert between OFM row counts, the IFM rows
     (halo included) needed to produce them, weight tile sizes under a
     filter-parallel engine, and the producer/consumer tile dependence
-    used by the skewed tile pipeline. *)
+    used by the skewed tile pipeline.
+
+    The [_at] variants read the same quantities from a {!Cnn.Table} by
+    absolute layer index; they are what the buffer planner calls, and
+    they return exactly the integers of their [Cnn.Layer.t] versions,
+    which stay as the reference for the simulator and the tests. *)
 
 val weight_tile_elements : Engine.Ce.t -> Cnn.Layer.t -> int
 (** [weight_tile_elements ce l] is the number of weight elements the
@@ -13,6 +18,10 @@ val weight_tile_elements : Engine.Ce.t -> Cnn.Layer.t -> int
     group: the total weights divided by the number of filter groups,
     where the group count is [ceil (filters / Par(Filters))].  Always at
     least 1 and at most [Cnn.Layer.weight_elements l]. *)
+
+val weight_tile_elements_at : Engine.Ce.t -> Cnn.Table.t -> int -> int
+(** [weight_tile_elements_at ce tbl i] equals
+    [weight_tile_elements ce (Model.layer m i)]. *)
 
 val tile_rows : Cnn.Layer.t -> tiles:int -> int
 (** [tile_rows l ~tiles] is the OFM rows per tile when [l]'s output
@@ -46,3 +55,16 @@ val min_fm_elements : Cnn.Layer.t -> int
     counted — in this regime they spill off chip, which the single-CE
     model charges as extra accesses.  Strictly below
     [Cnn.Layer.fms_elements l] for multi-row outputs. *)
+
+val min_fm_elements_at : Cnn.Table.t -> int -> int
+(** [min_fm_elements_at tbl i] equals [min_fm_elements (Model.layer m i)]. *)
+
+val fm_tile_bytes : bpe:int -> width_split:int -> Cnn.Layer.t -> rows:int -> int
+(** [fm_tile_bytes ~bpe ~width_split l ~rows] is the single-copy bytes of
+    one FM tile of [l]: [rows] OFM rows of full width and all channels,
+    cut into [width_split] vertical slices, rounded up. *)
+
+val fm_tile_bytes_at :
+  bpe:int -> width_split:int -> Cnn.Table.t -> int -> rows:int -> int
+(** [fm_tile_bytes_at ~bpe ~width_split tbl i ~rows] equals
+    [fm_tile_bytes ~bpe ~width_split (Model.layer m i) ~rows]. *)

@@ -10,11 +10,10 @@
 
    All stored quantities are integers computed by exactly the formulas
    in [Layer]/[Model], so any aggregate read through the table is
-   bit-identical to the list-fold reference path. *)
+   bit-identical to the corresponding [Layer]/[Model] list fold. *)
 
 type t = {
   model : Model.t;
-  uid : int;                    (* process-unique; cheap memo keys *)
   n : int;
   macs : int array;
   weights : int array;          (* weight elements *)
@@ -49,8 +48,6 @@ type t = {
   macs_sparse : int array array; (* likewise over macs *)
   log2 : int array;             (* log2.(l) = floor (log2 l), length n+1 *)
 }
-
-let next_uid = Atomic.make 0
 
 let of_model model =
   let n = Model.num_layers model in
@@ -115,8 +112,7 @@ let of_model model =
   let fms_sparse = sparse_max fms in
   let macs_sparse = sparse_max macs in
   {
-    model; uid = Atomic.fetch_and_add next_uid 1;
-    n; macs; weights; ifm; ofm; extra; fms;
+    model; n; macs; weights; ifm; ofm; extra; fms;
     in_h; in_w; in_c; out_h; out_w; out_c;
     kernel; stride; padding; is_dw;
     ext_f; ext_c; ext_h; ext_w; ext_kh; ext_kw;
@@ -127,9 +123,7 @@ let of_model model =
   }
 
 let model t = t.model
-let uid t = t.uid
 let num_layers t = t.n
-let for_model t m = t.model == m
 
 let check t m =
   if not (t.model == m) then

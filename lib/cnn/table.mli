@@ -8,8 +8,10 @@
 
     Every stored value is computed by exactly the integer formulas in
     {!Layer} and {!Model}, so reads through the table are bit-identical
-    to the list-fold reference path ({!Model.layers_in_range} and
-    friends, which remain the slow/reference implementation). *)
+    to the list folds over {!Model.layers_in_range} and friends.  The
+    builder and the cost models read per-layer scalars only through a
+    table; the list functions stay as the reference the simulator and
+    the oracle tests use. *)
 
 type t
 
@@ -19,16 +21,9 @@ val of_model : Model.t -> t
 val model : t -> Model.t
 val num_layers : t -> int
 
-val uid : t -> int
-(** Process-unique table id, assigned at construction — a cheap memo
-    key for caches that want "same table" without hashing the model. *)
-
-val for_model : t -> Model.t -> bool
-(** [for_model t m] is true when [t] was built from exactly [m]
-    (physical equality — sessions and builds share the model value). *)
-
 val check : t -> Model.t -> unit
-(** @raise Invalid_argument unless [for_model t m]. *)
+(** @raise Invalid_argument unless [t] was built from exactly [m]
+    (physical equality — sessions and builds share the model value). *)
 
 (** {1 Per-layer scalars}
 

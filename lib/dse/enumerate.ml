@@ -44,11 +44,6 @@ let session_or_fresh session model board =
   | Some s -> s
   | None -> Mccm.Eval_session.create model board
 
-let table_or_fresh session model =
-  match Mccm.Eval_session.table session with
-  | Some t when Cnn.Table.for_model t model -> t
-  | _ -> Cnn.Table.of_model model
-
 (* The admissible bound machinery lives in {!Bounds}; these aliases
    keep the historical entry points (and their callers) intact. *)
 type bounds = Bounds.t
@@ -59,7 +54,7 @@ let latency_lower_bound = Bounds.latency_lower_bound
 
 (* Sequential warm-up for a crew: run a small strided sample of the
    spec rows through the parent session so its plan/segment tables —
-   and the builder's process-global memos — are populated before the
+   and the builder's parallelism-search memo — are populated before the
    per-worker forks are cut.  Caching is bit-invisible, so the warm-up
    cannot change any result; it only moves the cold start off the
    parallel phase. *)
@@ -422,7 +417,7 @@ let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
     ?(prune = true) ?(strategy = `Auto) ~objective ~ces model board =
   Mccm_obs.span ~cat:"dse" "dse.exhaustive_best" @@ fun () ->
   let session = session_or_fresh session model board in
-  let table = table_or_fresh session model in
+  let table = Mccm.Eval_session.table session in
   let score m =
     if not m.Mccm.Metrics.feasible then neg_infinity
     else

@@ -27,7 +27,8 @@ let segmented_equal ~ces model =
     ~coarse_pipelined:true ~num_layers:n
 
 let eval ?options model board archi =
-  (Mccm.Evaluate.run (Builder.Build.build ?options model board archi))
+  let table = Cnn.Table.of_model model in
+  (Mccm.Evaluate.run ~table (Builder.Build.build ?options ~table model board archi))
     .Mccm.Evaluate.metrics
 
 let run ?(model = Cnn.Model_zoo.resnet50 ())

@@ -35,8 +35,11 @@ let collect () =
           List.map
             (fun style ->
               let archi = Common.baseline_arch style ~ces model in
-              let built = Builder.Build.build model board archi in
-              let estimated = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+              let table = Cnn.Table.of_model model in
+              let built = Builder.Build.build ~table model board archi in
+              let estimated =
+                (Mccm.Evaluate.run ~table built).Mccm.Evaluate.metrics
+              in
               let reference = (Sim.Simulate.run built).Sim.Simulate.metrics in
               {
                 style;

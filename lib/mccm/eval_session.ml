@@ -11,7 +11,11 @@
      per-CE parallelism choices between such blocks at build time.
 
    Because every key carries its full structural payload, a hit is
-   bit-identical to recomputation; the session changes wall-clock only. *)
+   bit-identical to recomputation; the session changes wall-clock only.
+   The session also owns the model's {!Cnn.Table}, built once at
+   creation and read by every build and evaluation it runs.  All of
+   these live exactly as long as the session: nothing is keyed by it
+   process-wide. *)
 
 module Fp = Util.Fingerprint
 
@@ -66,7 +70,7 @@ type t = {
   board : Platform.Board.t;
   options : Builder.Build.options;
   memoize : bool;
-  table : Cnn.Table.t option;
+  table : Cnn.Table.t;
   seg : Seg_cache.t;
   bcache : Builder.Build.cache;
   archs : Evaluate.t Arch_tbl.t;
@@ -85,14 +89,14 @@ type stats = {
   plan_misses : int;
 }
 
-let create ?(options = Builder.Build.default_options) ?(memoize = true)
-    ?(use_table = true) model board =
+let create ?(options = Builder.Build.default_options) ?(memoize = true) model
+    board =
   {
     model;
     board;
     options;
     memoize;
-    table = (if use_table then Some (Cnn.Table.of_model model) else None);
+    table = Cnn.Table.of_model model;
     seg = Seg_cache.create ();
     bcache = Builder.Build.create_cache ();
     archs = Arch_tbl.create 512;
@@ -109,8 +113,8 @@ let evaluate ?(store_arch = true) t archi =
   t.n_evals <- t.n_evals + 1;
   Mccm_obs.Metric.incr c_evals;
   if not t.memoize then
-    Evaluate.run ?table:t.table
-      (Builder.Build.build ~options:t.options ?table:t.table t.model t.board
+    Evaluate.run ~table:t.table
+      (Builder.Build.build ~options:t.options ~table:t.table t.model t.board
          archi)
   else begin
     let key = arch_key archi in
@@ -122,10 +126,10 @@ let evaluate ?(store_arch = true) t archi =
     | None ->
       Mccm_obs.Metric.incr c_arch_miss;
       let built =
-        Builder.Build.build ~options:t.options ~cache:t.bcache ?table:t.table
+        Builder.Build.build ~options:t.options ~cache:t.bcache ~table:t.table
           t.model t.board archi
       in
-      let e = Evaluate.run ~cache:t.seg ?table:t.table built in
+      let e = Evaluate.run ~cache:t.seg ~table:t.table built in
       if store_arch then Arch_tbl.add t.archs key e;
       e
   end

@@ -14,6 +14,11 @@
     - the builder's planning floors ({!Builder.Buffer_alloc}), sharing
       the pipelined tile search the same way at build time.
 
+    The session builds its model's {!Cnn.Table} once and reads every
+    per-layer scalar through it.  The table and all three memos belong
+    to the session and are freed with it; no process-global memo is
+    keyed by a session or a table.
+
     Every cache key carries its full structural payload next to a
     precomputed content fingerprint, so hits are bit-identical to fresh
     evaluation — the session is semantically invisible and shows up only
@@ -32,16 +37,12 @@ type t
 val create :
   ?options:Builder.Build.options ->
   ?memoize:bool ->
-  ?use_table:bool ->
   Cnn.Model.t ->
   Platform.Board.t ->
   t
-(** [create model board] opens a session.  [options] defaults to
-    {!Builder.Build.default_options}; [memoize] defaults to [true].
-    [use_table] (default [true]) builds a {!Cnn.Table} once and threads
-    it through every build and evaluation, replacing per-layer list
-    walks with O(1) array reads; [~use_table:false] keeps the list-fold
-    reference path — results are bit-identical either way. *)
+(** [create model board] opens a session and builds [model]'s
+    {!Cnn.Table}.  [options] defaults to
+    {!Builder.Build.default_options}; [memoize] defaults to [true]. *)
 
 val model : t -> Cnn.Model.t
 val board : t -> Platform.Board.t
@@ -49,8 +50,8 @@ val board : t -> Platform.Board.t
 val memoized : t -> bool
 (** Whether this session caches ([false] for the uncached baseline). *)
 
-val table : t -> Cnn.Table.t option
-(** The session's precomputed per-layer table, when enabled. *)
+val table : t -> Cnn.Table.t
+(** The session's precomputed per-layer table. *)
 
 val evaluate : ?store_arch:bool -> t -> Arch.Block.arch -> Evaluate.t
 (** [evaluate t archi] is [Evaluate.evaluate (model t) (board t) archi]

@@ -41,18 +41,23 @@ type t = {
           the exact value the DSE memory floor lower-bounds *)
 }
 
-val run : ?cache:Seg_cache.t -> ?table:Cnn.Table.t -> Builder.Build.t -> t
-(** [run built] evaluates a built accelerator analytically.  [cache]
-    memoizes per-segment model results across calls sharing a (model,
-    board) pair — see {!Seg_cache}; results are bit-identical with and
-    without it.  [table] (a {!Cnn.Table} built from the same model)
-    switches per-layer scalar reads in the block models to the
-    precomputed O(1) fast path — also bit-identical.  Most callers want
-    {!Eval_session} instead of passing a cache directly. *)
+val run : ?cache:Seg_cache.t -> table:Cnn.Table.t -> Builder.Build.t -> t
+(** [run ~table built] evaluates a built accelerator analytically,
+    reading every per-layer scalar from [table] (a {!Cnn.Table} built
+    from [built]'s model).  [cache] memoizes per-segment model results
+    across calls sharing a (model, board) pair — see {!Seg_cache};
+    results are bit-identical with and without it.  Most callers want
+    {!Eval_session} instead of passing a cache directly.
+    @raise Invalid_argument if [table] was built from another model. *)
 
 val evaluate : Cnn.Model.t -> Platform.Board.t -> Arch.Block.arch -> t
-(** [evaluate model board archi] builds with the Multiple-CE Builder and
-    runs the cost model — the methodology's end-to-end entry point. *)
+(** [evaluate model board archi] builds a {!Cnn.Table}, builds with the
+    Multiple-CE Builder and runs the cost model — the methodology's
+    end-to-end entry point.  One-shot: it owns no memo, so repeated
+    calls leave nothing behind except entries in
+    {!Builder.Parallelism_select}'s content-keyed search memo, which
+    repeated content does not grow.  Use {!Eval_session} to reuse work
+    across calls. *)
 
 val metrics : Cnn.Model.t -> Platform.Board.t -> Arch.Block.arch -> Metrics.t
 (** Shorthand for [(evaluate ...).metrics]. *)

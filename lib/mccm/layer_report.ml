@@ -17,12 +17,12 @@ let boundary_flags plan ~num_blocks ~index =
   in
   (input_on_chip, output_on_chip)
 
-let single_rows (built : Builder.Build.t) ~engine ~plan ~first ~last
+let single_rows (built : Builder.Build.t) ~table ~engine ~plan ~first ~last
     ~input_on_chip ~output_on_chip =
   let model = built.Builder.Build.model in
   let board = built.Builder.Build.board in
   let r =
-    Single_ce_model.evaluate ~model ~board ~engine ~plan ~first ~last
+    Single_ce_model.evaluate ~table ~board ~engine ~plan ~first ~last
       ~input_on_chip ~output_on_chip ()
   in
   List.map
@@ -85,6 +85,7 @@ let pipelined_rows (built : Builder.Build.t) ~engines ~plan ~first ~last
       })
 
 let of_build (built : Builder.Build.t) =
+  let table = Cnn.Table.of_model built.Builder.Build.model in
   let plan = built.Builder.Build.plan in
   let num_blocks = Array.length built.Builder.Build.blocks in
   List.concat
@@ -98,7 +99,7 @@ let of_build (built : Builder.Build.t) =
          with
          | ( Builder.Build.Built_single { engine; first; last },
              Builder.Buffer_alloc.Plan_single splan ) ->
-           single_rows built ~engine ~plan:splan ~first ~last ~input_on_chip
+           single_rows built ~table ~engine ~plan:splan ~first ~last ~input_on_chip
              ~output_on_chip
          | ( Builder.Build.Built_pipelined { engines; first; last; _ },
              Builder.Buffer_alloc.Plan_pipelined pplan ) ->

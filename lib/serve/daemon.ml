@@ -949,7 +949,7 @@ let process_eval_batch t forks items =
       if List.length units >= 2 then begin
         incr t.c.batches;
         Metric.incr m_batches;
-        Atomic.set t.c.batched (Atomic.get t.c.batched + List.length units)
+        ignore (Atomic.fetch_and_add t.c.batched (List.length units))
       end;
       List.iter2
         (fun (w, live) m ->

@@ -57,7 +57,7 @@ let banked_buffer_bytes cfg (built : Builder.Build.t) =
     plan.Builder.Buffer_alloc.inter_seg_on_chip;
   !total
 
-let simulate_block cfg ~clock (built : Builder.Build.t) ~index ~start =
+let simulate_block cfg ~clock ~table (built : Builder.Build.t) ~index ~start =
   let model = built.Builder.Build.model in
   let board = built.Builder.Build.board in
   (* Each block gets a fresh port view: blocks overlap on different
@@ -76,7 +76,7 @@ let simulate_block cfg ~clock (built : Builder.Build.t) ~index ~start =
   | ( Builder.Build.Built_single { engine; first; last },
       Builder.Buffer_alloc.Plan_single splan ) ->
     let r =
-      Sim_single.simulate ~cfg ~dma ~model ~board ~engine ~plan:splan ~first
+      Sim_single.simulate ~cfg ~dma ~table ~board ~engine ~plan:splan ~first
         ~last ~input_on_chip ~output_on_chip ~start
     in
     {
@@ -113,12 +113,13 @@ let run ?(cfg = Sim_config.default) (built : Builder.Build.t) =
     Sim_config.achieved_clock_hz cfg board ~dsps_used ~bram_used:buffer_bytes
   in
   let num_blocks = Array.length built.Builder.Build.blocks in
+  let table = Cnn.Table.of_model built.Builder.Build.model in
   (* One input flows through the blocks in order; each block starts when
      the previous one is done with this input. *)
   let t = ref 0.0 in
   let sims =
     List.init num_blocks (fun index ->
-        let s = simulate_block cfg ~clock built ~index ~start:!t in
+        let s = simulate_block cfg ~clock ~table built ~index ~start:!t in
         t := !t +. s.latency_cycles;
         s)
   in
@@ -152,7 +153,7 @@ let run ?(cfg = Sim_config.default) (built : Builder.Build.t) =
   }
 
 let evaluate ?cfg model board archi =
-  run ?cfg (Builder.Build.build model board archi)
+  run ?cfg (Builder.Build.build ~table:(Cnn.Table.of_model model) model board archi)
 
 let trace_block ?(cfg = Sim_config.default) (built : Builder.Build.t) ~block =
   let num_blocks = Array.length built.Builder.Build.blocks in

@@ -1,5 +1,6 @@
 type ctx = {
   case : Case.t;
+  table : Cnn.Table.t;
   built : Builder.Build.t;
   model_eval : Mccm.Evaluate.t;
   sim_real : Sim.Simulate.t;
@@ -12,11 +13,13 @@ type t = { name : string; check : ctx -> outcome }
 
 let context case =
   let archi = Case.materialize case in
-  let built = Builder.Build.build case.Case.model case.Case.board archi in
+  let table = Cnn.Table.of_model case.Case.model in
+  let built = Builder.Build.build ~table case.Case.model case.Case.board archi in
   {
     case;
+    table;
     built;
-    model_eval = Mccm.Evaluate.run built;
+    model_eval = Mccm.Evaluate.run ~table built;
     sim_real = Sim.Simulate.run built;
     sim_ideal = Sim.Simulate.run ~cfg:Sim.Sim_config.ideal built;
   }
@@ -25,7 +28,8 @@ let feasible ctx = ctx.model_eval.Mccm.Evaluate.metrics.Mccm.Metrics.feasible
 
 let rebuild_scaled ctx ?dsps_x ?bram_x ?bw_x () =
   let board = Case.scale_board ?dsps_x ?bram_x ?bw_x ctx.case.Case.board in
-  Builder.Build.build ctx.case.Case.model board (Case.materialize ctx.case)
+  Builder.Build.build ~table:ctx.table ctx.case.Case.model board
+    (Case.materialize ctx.case)
 
 (* Tile geometry of a plan, ignoring retention and capacity grants: when
    it is unchanged across a board scaling, the access model is provably
@@ -164,7 +168,9 @@ let mono_bandwidth =
       (fun ctx ->
         if not (feasible ctx) then Skip "infeasible base design"
         else begin
-          let scaled = Mccm.Evaluate.run (rebuild_scaled ctx ~bw_x:2.0 ()) in
+          let scaled =
+            Mccm.Evaluate.run ~table:ctx.table (rebuild_scaled ctx ~bw_x:2.0 ())
+          in
           let l0 = latency_of ctx.model_eval and l1 = latency_of scaled in
           let mb e =
             Mccm.Breakdown.memory_bound_count e.Mccm.Evaluate.breakdown
@@ -187,7 +193,7 @@ let mono_dsps ~replan_slack =
         if not (feasible ctx) then Skip "infeasible base design"
         else begin
           let built = rebuild_scaled ctx ~dsps_x:2 () in
-          let scaled = Mccm.Evaluate.run built in
+          let scaled = Mccm.Evaluate.run ~table:ctx.table built in
           let l0 = latency_of ctx.model_eval and l1 = latency_of scaled in
           if same_plan ctx.built built then
             if l1 > l0 *. (1.0 +. 1e-9) then
@@ -213,7 +219,7 @@ let mono_bram ~replan_slack =
         if not (feasible ctx) then Skip "infeasible base design"
         else begin
           let built = rebuild_scaled ctx ~bram_x:2 () in
-          let scaled = Mccm.Evaluate.run built in
+          let scaled = Mccm.Evaluate.run ~table:ctx.table built in
           let a0 = accesses_of ctx.model_eval and a1 = accesses_of scaled in
           if tiling_shape ctx.built = tiling_shape built then
             if a1 > a0 then

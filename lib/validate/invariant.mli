@@ -28,6 +28,7 @@
 
 type ctx = {
   case : Case.t;
+  table : Cnn.Table.t;           (** the case model's table *)
   built : Builder.Build.t;
   model_eval : Mccm.Evaluate.t;
   sim_real : Sim.Simulate.t;     (** {!Sim.Sim_config.default} *)

@@ -6,6 +6,9 @@ let checkb = Alcotest.(check bool)
 
 let res50 = Cnn.Model_zoo.resnet50 ()
 let mobv2 = Cnn.Model_zoo.mobilenet_v2 ()
+let res50_table = Cnn.Table.of_model res50
+let mobv2_table = Cnn.Table.of_model mobv2
+let range first last = List.init (last - first + 1) (fun k -> first + k)
 
 (* ---------------------------------------------------- Pe_allocation *)
 
@@ -45,10 +48,11 @@ let test_smooth_degree () =
   check "7-smooth" 1 (strip (strip (strip (strip d 2) 3) 5) 7)
 
 let test_choose_degree_within_budget () =
-  let layers = Cnn.Model.layers_in_range res50 ~first:0 ~last:9 in
   List.iter
     (fun pes ->
-      let p = Builder.Parallelism_select.choose ~pes ~layers in
+      let p =
+        Builder.Parallelism_select.choose_indices ~pes res50_table (range 0 9)
+      in
       checkb
         (Printf.sprintf "degree <= %d" pes)
         true
@@ -58,11 +62,12 @@ let test_choose_degree_within_budget () =
 let test_choose_depthwise_uses_channels () =
   let dw_layers =
     List.filter
-      (fun (l : Cnn.Layer.t) -> l.Cnn.Layer.kind = Cnn.Layer.Depthwise)
-      (Cnn.Model.layers_in_range mobv2 ~first:0
-         ~last:(Cnn.Model.num_layers mobv2 - 1))
+      (Cnn.Table.is_depthwise mobv2_table)
+      (range 0 (Cnn.Model.num_layers mobv2 - 1))
   in
-  let p = Builder.Parallelism_select.choose ~pes:256 ~layers:dw_layers in
+  let p =
+    Builder.Parallelism_select.choose_indices ~pes:256 mobv2_table dw_layers
+  in
   check "no filter unrolling" 1
     (Engine.Parallelism.factor p Engine.Parallelism.Filters);
   checkb "channels unrolled" true
@@ -73,7 +78,9 @@ let test_choose_beats_naive () =
      strategy of the same budget. *)
   let layers = Cnn.Model.layers_in_range res50 ~first:10 ~last:30 in
   let pes = 512 in
-  let chosen = Builder.Parallelism_select.choose ~pes ~layers in
+  let chosen =
+    Builder.Parallelism_select.choose_indices ~pes res50_table (range 10 30)
+  in
   let naive = Engine.Parallelism.three_d ~filters:8 ~height:8 ~width:8 in
   let cycles p =
     let ce =
@@ -131,7 +138,7 @@ let test_min_fm_elements () =
 
 (* ------------------------------------------------------ Buffer_alloc *)
 
-let built archi board = Builder.Build.build res50 board archi
+let built archi board = Builder.Build.build ~table:res50_table res50 board archi
 
 let test_plan_fits_bram () =
   List.iter
@@ -167,7 +174,7 @@ let test_plan_retention_on_big_board () =
      would otherwise reload them (more than one tile).  Single-tile
      layers stream their weights exactly once either way. *)
   let b =
-    Builder.Build.build mobv2 Platform.Board.zcu102
+    Workload_helper.build mobv2 Platform.Board.zcu102
       (Arch.Baselines.segmented_rr ~ces:4 mobv2)
   in
   Array.iteri
@@ -224,7 +231,7 @@ let test_audit_clean_on_baselines () =
     (fun board ->
       List.iter
         (fun (name, archi) ->
-          let b = Builder.Build.build res50 board archi in
+          let b = Builder.Build.build ~table:res50_table res50 board archi in
           match
             Builder.Buffer_alloc.audit res50 board archi b.Builder.Build.plan
           with
@@ -237,7 +244,7 @@ let test_audit_clean_on_baselines () =
 
 let test_audit_flags_corruption () =
   let archi = Arch.Baselines.segmented ~ces:4 res50 in
-  let b = Builder.Build.build res50 Platform.Board.zcu102 archi in
+  let b = Builder.Build.build ~table:res50_table res50 Platform.Board.zcu102 archi in
   let plan = b.Builder.Build.plan in
   let corrupted =
     { plan with Builder.Buffer_alloc.total_bytes = plan.Builder.Buffer_alloc.total_bytes + 1 }

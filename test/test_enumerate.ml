@@ -340,7 +340,8 @@ let test_scan_reports_no_nodes () =
 let res50 = Cnn.Model_zoo.resnet50 ()
 
 let metrics_with options archi =
-  (Mccm.Evaluate.run (Builder.Build.build ~options res50 board archi))
+  let table = Cnn.Table.of_model res50 in
+  (Mccm.Evaluate.run ~table (Builder.Build.build ~options ~table res50 board archi))
     .Mccm.Evaluate.metrics
 
 let test_naive_parallelism_never_faster () =
@@ -365,7 +366,7 @@ let test_balanced_pe_allocation () =
      pipeline's engines (or leave it unchanged at a fixed point). *)
   let spread options =
     let built =
-      Builder.Build.build ~options res50 board
+      Workload_helper.build ~options res50 board
         (Arch.Baselines.segmented_rr ~ces:4 res50)
     in
     let cycles =

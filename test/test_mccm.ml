@@ -6,6 +6,7 @@ let checkb = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 1e-9))
 
 let res50 = Cnn.Model_zoo.resnet50 ()
+let res50_table = Cnn.Table.of_model res50
 let mobv2 = Cnn.Model_zoo.mobilenet_v2 ()
 
 (* ----------------------------------------------------------- Access *)
@@ -44,10 +45,11 @@ let test_metrics_better () =
 
 let single_block_setup ~fm_capacity_mib =
   let board = Platform.Board.zcu102 in
-  let layers = Cnn.Model.layers_in_range res50 ~first:0 ~last:9 in
   let engine =
     Engine.Ce.v ~id:1 ~pes:512
-      ~parallelism:(Builder.Parallelism_select.choose ~pes:512 ~layers)
+      ~parallelism:
+        (Builder.Parallelism_select.choose_indices ~pes:512 res50_table
+           (List.init 10 Fun.id))
       ~dataflow:Engine.Dataflow.Output_stationary
   in
   let plan =
@@ -61,7 +63,7 @@ let single_block_setup ~fm_capacity_mib =
 
 let eval_single ~fm_capacity_mib =
   let board, engine, plan = single_block_setup ~fm_capacity_mib in
-  Mccm.Single_ce_model.evaluate ~model:res50 ~board ~engine ~plan ~first:0
+  Mccm.Single_ce_model.evaluate ~table:res50_table ~board ~engine ~plan ~first:0
     ~last:9 ~input_on_chip:false ~output_on_chip:false ()
 
 let test_single_ideal_accesses () =
@@ -106,11 +108,11 @@ let test_single_interseg_input () =
   (* Declaring the input on-chip removes the input load. *)
   let board, engine, plan = single_block_setup ~fm_capacity_mib:8.0 in
   let off =
-    Mccm.Single_ce_model.evaluate ~model:res50 ~board ~engine ~plan ~first:0
+    Mccm.Single_ce_model.evaluate ~table:res50_table ~board ~engine ~plan ~first:0
       ~last:9 ~input_on_chip:false ~output_on_chip:false ()
   in
   let on =
-    Mccm.Single_ce_model.evaluate ~model:res50 ~board ~engine ~plan ~first:0
+    Mccm.Single_ce_model.evaluate ~table:res50_table ~board ~engine ~plan ~first:0
       ~last:9 ~input_on_chip:true ~output_on_chip:false ()
   in
   let bpe = 2 in
@@ -145,8 +147,8 @@ let eval_miniature ~cap_bytes ~input_on_chip =
       fm_ideal_bytes = 384;
     }
   in
-  Mccm.Single_ce_model.evaluate ~model ~board ~engine ~plan ~first:0 ~last:0
-    ~input_on_chip ~output_on_chip:false ()
+  Mccm.Single_ce_model.evaluate ~table:(Cnn.Table.of_model model) ~board
+    ~engine ~plan ~first:0 ~last:0 ~input_on_chip ~output_on_chip:false ()
 
 let test_eq6_miniature_fits () =
   (* cap 384 B holds IFM+OFM: accesses = W + IFM load + OFM store
@@ -199,7 +201,7 @@ let test_eq9_interseg_tradeoff () =
 let pipelined_setup () =
   let board = Platform.Board.zcu102 in
   let archi = Arch.Baselines.hybrid ~ces:5 res50 in
-  let built = Builder.Build.build res50 board archi in
+  let built = Builder.Build.build ~table:res50_table res50 board archi in
   match
     ( built.Builder.Build.blocks.(0),
       built.Builder.Build.plan.Builder.Buffer_alloc.block_plans.(0) )
@@ -212,7 +214,7 @@ let pipelined_setup () =
 let test_pipelined_throughput_is_bottleneck () =
   let board, engines, plan, first, last = pipelined_setup () in
   let r =
-    Mccm.Pipelined_model.evaluate ~model:res50 ~board ~engines ~plan ~first
+    Mccm.Pipelined_model.evaluate ~table:res50_table ~board ~engines ~plan ~first
       ~last ~input_on_chip:false ~output_on_chip:true ()
   in
   let max_busy =
@@ -253,8 +255,8 @@ let test_pipelined_eq2_uniform_round () =
     }
   in
   let r =
-    Mccm.Pipelined_model.evaluate ~model ~board ~engines ~plan ~first:0 ~last:2
-      ~input_on_chip:true ~output_on_chip:true ()
+    Mccm.Pipelined_model.evaluate ~table:(Cnn.Table.of_model model) ~board
+      ~engines ~plan ~first:0 ~last:2 ~input_on_chip:true ~output_on_chip:true ()
   in
   let tile_cyc = Engine.Ce.tile_cycles engines.(0) (List.hd layers) ~rows:4 in
   let expected_cycles = (4 + 3 - 1) * tile_cyc in
@@ -280,7 +282,7 @@ let test_pipelined_weight_reload () =
     }
   in
   let eval p =
-    (Mccm.Pipelined_model.evaluate ~model:res50 ~board ~engines ~plan:p ~first
+    (Mccm.Pipelined_model.evaluate ~table:res50_table ~board ~engines ~plan:p ~first
        ~last ~input_on_chip:true ~output_on_chip:true ())
       .Mccm.Pipelined_model.accesses
   in
@@ -420,6 +422,44 @@ let test_roofline_machine_balance () =
   let r = Mccm.Roofline.analyze res50 Platform.Board.zc706 m in
   checkf "balance" 56.25 r.Mccm.Roofline.machine_balance
 
+(* --------------------------------------------------- one-shot memory *)
+
+(* A one-shot [Evaluate.metrics] owns no memo, so a long run of them
+   must leave the live heap where it started (the daemon's registry-full
+   fallback, [Validate] and [mccm eval] all take this path).  Inputs are
+   fixed: a seeded stream over a fixed (model, board, arch) list, as in
+   a seeded check_prop loop, so a failure reproduces exactly.  Every
+   call is also checked against its warm-up result. *)
+let test_oneshot_heap_flat () =
+  let res152 = Cnn.Model_zoo.resnet152 () in
+  let cases =
+    [|
+      (res50, Platform.Board.vcu108, Arch.Baselines.segmented ~ces:4 res50);
+      (res50, Platform.Board.zc706, Arch.Baselines.hybrid ~ces:4 res50);
+      (mobv2, Platform.Board.zcu102, Arch.Baselines.segmented_rr ~ces:3 mobv2);
+      (res152, Platform.Board.vcu108, Arch.Baselines.segmented ~ces:5 res152);
+    |]
+  in
+  let metrics (m, b, a) = Mccm.Evaluate.metrics m b a in
+  (* Warm-up: fills the content-keyed parallelism-search memo once. *)
+  let reference = Array.map metrics cases in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let rng = Random.State.make [| 42 |] in
+  let mismatches = ref 0 in
+  let before = live_words () in
+  for _ = 1 to 2000 do
+    let k = Random.State.int rng (Array.length cases) in
+    if metrics cases.(k) <> reference.(k) then incr mismatches
+  done;
+  let growth = live_words () - before in
+  check "calls differing from their warm-up result" 0 !mismatches;
+  if growth >= 100_000 then
+    Alcotest.failf "2000 one-shot evaluations grew the live heap by %d words"
+      growth
+
 (* ------------------------------------------------------- properties *)
 
 let instance_gen =
@@ -514,6 +554,7 @@ let () =
           Alcotest.test_case "initiation interval" `Quick
             test_evaluate_initiation_interval;
           Alcotest.test_case "deterministic" `Quick test_evaluate_deterministic;
+          Alcotest.test_case "one-shot heap flat" `Quick test_oneshot_heap_flat;
         ] );
       ("properties", properties);
     ]

@@ -7,7 +7,7 @@ let res50 = Cnn.Model_zoo.resnet50 ()
 
 (* ----------------------------------------------------- Layer_report *)
 
-let build archi = Builder.Build.build res50 Platform.Board.zcu102 archi
+let build archi = Workload_helper.build res50 Platform.Board.zcu102 archi
 
 let test_layer_report_covers_all_layers () =
   List.iter
@@ -36,7 +36,7 @@ let test_layer_report_accesses_consistent () =
             acc + Mccm.Access.total r.Mccm.Layer_report.accesses)
           0 rows
       in
-      let metrics = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let metrics = Workload_helper.estimate built in
       check
         (archi.Arch.Block.name ^ " accesses add up")
         (Mccm.Metrics.accesses_bytes metrics)

@@ -86,10 +86,10 @@ let test_single_layer_per_engine () =
 let test_model_vs_sim_on_tiny () =
   let m = tiny_model ~layers:4 in
   let built =
-    Builder.Build.build m Platform.Board.zc706
+    Workload_helper.build m Platform.Board.zc706
       (Arch.Baselines.hybrid ~ces:3 m)
   in
-  let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+  let est = Workload_helper.estimate built in
   let ref_ = (Sim.Simulate.run built).Sim.Simulate.metrics in
   Alcotest.(check int)
     "access parity"
@@ -141,8 +141,8 @@ let prop_random_custom_archs_evaluate =
           ~ce_counts:[ 2; 3; 4; 5; 6 ]
       in
       let archi = Arch.Custom.arch_of_spec mobv2 spec in
-      let built = Builder.Build.build mobv2 Platform.Board.vcu108 archi in
-      let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let built = Workload_helper.build mobv2 Platform.Board.vcu108 archi in
+      let est = Workload_helper.estimate built in
       let ref_ = (Sim.Simulate.run built).Sim.Simulate.metrics in
       Mccm.Metrics.accesses_bytes est = Mccm.Metrics.accesses_bytes ref_
       && est.Mccm.Metrics.latency_s > 0.0

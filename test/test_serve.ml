@@ -362,83 +362,130 @@ let test_backpressure_overloaded () =
 
 (* ---------------------------------------------------------- batching *)
 
+(* Occupy every worker with a sleep, pipeline [archs] as MobV2/VCU108
+   evaluates behind them so they queue back-to-back, then check every
+   reply bit for bit against in-process evaluation. *)
+let batching_round cfg d ~archs =
+  let model = Option.get (Cnn.Model_zoo.by_abbreviation "MobV2") in
+  let board = Option.get (Platform.Board.by_name "VCU108") in
+  let expected =
+    List.map
+      (fun a ->
+        Mccm.Evaluate.metrics model board
+          (Result.get_ok (Arch.Shorthand.parse model a)))
+      archs
+  in
+  let workers = cfg.Serve.Daemon.workers in
+  let blockers =
+    List.init workers (fun _ ->
+        Serve.Client.connect_exn cfg.Serve.Daemon.socket_path)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Serve.Client.close blockers)
+    (fun () ->
+      with_client cfg (fun c ->
+          List.iter
+            (fun blocker ->
+              Result.get_ok
+                (Serve.Client.send_line blocker
+                   "{\"id\":0,\"op\":\"sleep\",\"params\":{\"seconds\":0.5}}"))
+            blockers;
+          Alcotest.(check bool)
+            "workers occupied" true
+            (wait_until (fun () -> counter d "dispatched" >= workers));
+          (* Pipeline the evaluates while the workers sleep: they queue
+             back-to-back and are served in batches. *)
+          List.iteri
+            (fun i a ->
+              Result.get_ok
+                (Serve.Client.send_line c
+                   (Json.to_string
+                      (Json.Obj
+                         [
+                           ("id", Json.Num (float_of_int i));
+                           ("op", Json.Str "evaluate");
+                           ( "params",
+                             Json.Obj
+                               [
+                                 ("model", Json.Str "MobV2");
+                                 ("board", Json.Str "VCU108");
+                                 ("arch", Json.Str a);
+                               ] );
+                         ]))))
+            archs;
+          Alcotest.(check bool)
+            "queue filled" true
+            (wait_until (fun () ->
+                 Serve.Daemon.queue_depth d >= List.length archs));
+          (* Collect one reply per request, match by id. *)
+          let got = Hashtbl.create 8 in
+          List.iter
+            (fun _ ->
+              match Serve.Client.recv_line ~timeout_s:60.0 c with
+              | Error msg -> Alcotest.failf "reply: %s" msg
+              | Ok line -> (
+                match Serve.Protocol.parse_reply line with
+                | Error msg -> Alcotest.failf "reply parse: %s" msg
+                | Ok { Serve.Protocol.reply_id; outcome } -> (
+                  match (Json.int_ reply_id, outcome) with
+                  | Some i, Ok r -> Hashtbl.replace got i r
+                  | _, Error (code, msg) ->
+                    Alcotest.failf "evaluate error: %s: %s" code msg
+                  | None, _ -> Alcotest.fail "reply without integer id")))
+            archs;
+          List.iteri
+            (fun i want ->
+              let r = Hashtbl.find got i in
+              let m =
+                Result.get_ok
+                  (Serve.Protocol.metrics_of_json
+                     (Option.get (Json.member "metrics" r)))
+              in
+              check_metrics (List.nth archs i) want m)
+            expected;
+          List.iter
+            (fun blocker ->
+              ignore (Serve.Client.recv_line ~timeout_s:30.0 blocker))
+            blockers))
+
 let test_batching () =
   with_daemon
     ~configure:(fun c ->
       { c with Serve.Daemon.workers = 1; batch_limit = 8 })
     (fun cfg d ->
-      let model = Option.get (Cnn.Model_zoo.by_abbreviation "MobV2") in
-      let board = Option.get (Platform.Board.by_name "VCU108") in
-      let archs = [ "hybrid/2"; "hybrid/3"; "hybrid/4"; "segmented/2"; "segmented/3" ] in
-      let expected =
-        List.map
-          (fun a ->
-            Mccm.Evaluate.metrics model board
-              (Result.get_ok (Arch.Shorthand.parse model a)))
-          archs
-      in
-      with_client cfg (fun blocker ->
-          with_client cfg (fun c ->
-              Result.get_ok
-                (Serve.Client.send_line blocker
-                   "{\"id\":0,\"op\":\"sleep\",\"params\":{\"seconds\":0.5}}");
-              Alcotest.(check bool)
-                "worker occupied" true
-                (wait_until (fun () -> counter d "dispatched" >= 1));
-              (* Pipeline the evaluates while the worker sleeps: they
-                 queue back-to-back and are served as one batch. *)
-              List.iteri
-                (fun i a ->
-                  Result.get_ok
-                    (Serve.Client.send_line c
-                       (Json.to_string
-                          (Json.Obj
-                             [
-                               ("id", Json.Num (float_of_int i));
-                               ("op", Json.Str "evaluate");
-                               ( "params",
-                                 Json.Obj
-                                   [
-                                     ("model", Json.Str "MobV2");
-                                     ("board", Json.Str "VCU108");
-                                     ("arch", Json.Str a);
-                                   ] );
-                             ]))))
-                archs;
-              Alcotest.(check bool)
-                "queue filled" true
-                (wait_until (fun () ->
-                     Serve.Daemon.queue_depth d >= List.length archs));
-              (* Collect one reply per request, match by id. *)
-              let got = Hashtbl.create 8 in
-              List.iter
-                (fun _ ->
-                  match Serve.Client.recv_line ~timeout_s:60.0 c with
-                  | Error msg -> Alcotest.failf "reply: %s" msg
-                  | Ok line -> (
-                    match Serve.Protocol.parse_reply line with
-                    | Error msg -> Alcotest.failf "reply parse: %s" msg
-                    | Ok { Serve.Protocol.reply_id; outcome } -> (
-                      match (Json.int_ reply_id, outcome) with
-                      | Some i, Ok r -> Hashtbl.replace got i r
-                      | _, Error (code, msg) ->
-                        Alcotest.failf "evaluate error: %s: %s" code msg
-                      | None, _ -> Alcotest.fail "reply without integer id")))
-                archs;
-              List.iteri
-                (fun i want ->
-                  let r = Hashtbl.find got i in
-                  let m =
-                    Result.get_ok
-                      (Serve.Protocol.metrics_of_json
-                         (Option.get (Json.member "metrics" r)))
-                  in
-                  check_metrics (List.nth archs i) want m)
-                expected;
-              Alcotest.(check bool)
-                "served as a batch" true
-                (counter d "batches" >= 1 && counter d "batched" >= 2);
-              ignore (Serve.Client.recv_line ~timeout_s:30.0 blocker))))
+      batching_round cfg d
+        ~archs:[ "hybrid/2"; "hybrid/3"; "hybrid/4"; "segmented/2"; "segmented/3" ];
+      Alcotest.(check bool)
+        "served as a batch" true
+        (counter d "batches" >= 1 && counter d "batched" >= 2));
+  (* Two workers finish batches concurrently, so the [batched] counter
+     sees racing updates; after drain it must account for every batch
+     (each holds at least two requests) and never exceed the requests
+     dispatched. *)
+  let cfg =
+    { (Serve.Daemon.default ~socket_path:(fresh_sock ())) with
+      Serve.Daemon.workers = 2; batch_limit = 4 }
+  in
+  let h = Serve.Daemon.spawn cfg in
+  let d = Serve.Daemon.daemon h in
+  Fun.protect
+    ~finally:(fun () -> Serve.Daemon.shutdown h)
+    (fun () ->
+      batching_round cfg d
+        ~archs:
+          (List.concat_map
+             (fun style -> List.map (Printf.sprintf "%s/%d" style) [ 2; 3; 4; 5 ])
+             [ "hybrid"; "segmented"; "segmentedrr" ]));
+  let batches = counter d "batches" and batched = counter d "batched" in
+  let dispatched = counter d "dispatched" in
+  Alcotest.(check bool)
+    (Printf.sprintf "two workers batched (%d batches)" batches)
+    true (batches >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "2 x batches (%d) <= batched (%d) <= dispatched (%d)"
+       batches batched dispatched)
+    true
+    ((2 * batches) <= batched && batched <= dispatched)
 
 (* ------------------------------------------------------------- drain *)
 

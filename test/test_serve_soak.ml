@@ -8,6 +8,13 @@
    [?store_arch:false] discipline means sustained non-repeating load
    must not grow the session caches without bound.
 
+   The same hammer and gates run a second time against a daemon whose
+   session registry holds no session and whose result cache is off, so
+   every evaluate takes the worker's uncached one-shot fallback — the
+   path that must not leave anything behind per request.  Every
+   evaluate reply, in both runs, must be bit-identical to in-process
+   evaluation.
+
    Phase 2 initiates a graceful drain mid-traffic and requires every
    in-flight client to see only complete replies, structured
    [shutting_down] refusals, or EOF after the drain began — never a
@@ -59,8 +66,23 @@ let mix =
     `Sleep 0.002;
   |]
 
+(* In-process reference metrics for every evaluate of the mix. *)
+let expected =
+  let tbl = Hashtbl.create 8 in
+  Array.iter
+    (function
+      | `Evaluate ((m, b, a) as key) when not (Hashtbl.mem tbl key) ->
+        let model = Option.get (Cnn.Model_zoo.by_abbreviation m) in
+        let board = Option.get (Platform.Board.by_name b) in
+        let archi = Result.get_ok (Arch.Shorthand.parse model a) in
+        Hashtbl.add tbl key (Mccm.Evaluate.metrics model board archi)
+      | _ -> ())
+    mix;
+  tbl
+
 type tally = {
   mutable ok : int;
+  mutable mismatches : int;       (** evaluate replies differing in-process *)
   mutable shutting_down : int;
   mutable overloaded : int;
   mutable protocol_errors : int;  (** anything else structured *)
@@ -68,8 +90,8 @@ type tally = {
 }
 
 let new_tally () =
-  { ok = 0; shutting_down = 0; overloaded = 0; protocol_errors = 0;
-    transport_errors = 0 }
+  { ok = 0; mismatches = 0; shutting_down = 0; overloaded = 0;
+    protocol_errors = 0; transport_errors = 0 }
 
 let client_loop sock ~stop_at ~draining tally seed =
   let c = Serve.Client.connect_exn sock in
@@ -82,9 +104,12 @@ let client_loop sock ~stop_at ~draining tally seed =
          | `Ping -> Serve.Client.ping ~timeout_s:60.0 c
          | `Stats -> Serve.Client.stats ~timeout_s:60.0 c
          | `Sleep s -> Serve.Client.sleep ~timeout_s:60.0 c ~seconds:s
-         | `Evaluate (m, b, a) ->
+         | `Evaluate ((m, b, a) as key) ->
            Result.map
-             (fun _ -> Json.Null)
+             (fun metrics ->
+               if metrics <> Hashtbl.find expected key then
+                 tally.mismatches <- tally.mismatches + 1;
+               Json.Null)
              (Serve.Client.evaluate ~timeout_s:60.0 c ~model:m ~board:b
                 ~arch:a)
        in
@@ -121,18 +146,18 @@ let monotone_watcher d ~stop violations =
     Thread.delay 0.05
   done
 
-let test_soak () =
-  let sock = fresh_sock "hammer" in
+(* Hammer a daemon configured by [configure] with 4 clients for the soak
+   budget, then apply the gates: progress, no dropped connections or
+   protocol errors, monotone counters, flat RSS, bit-identical
+   evaluates, no write failures.  [check] adds per-arm gates on the
+   final counters. *)
+let hammer ~tag ~configure ~check =
+  let sock = fresh_sock tag in
   let cfg =
-    {
-      (Serve.Daemon.default ~socket_path:sock) with
-      Serve.Daemon.workers = 2;
-      queue_capacity = 64;
-      (* Far below the mix's distinct-request count: the result cache
-         churns at full capacity the whole soak, so eviction runs under
-         the RSS and monotonicity gates too. *)
-      cache_capacity = 4;
-    }
+    configure
+      { (Serve.Daemon.default ~socket_path:sock) with
+        Serve.Daemon.workers = 2;
+        queue_capacity = 64 }
   in
   let h = Serve.Daemon.spawn cfg in
   let d = Serve.Daemon.daemon h in
@@ -179,6 +204,9 @@ let test_soak () =
   Alcotest.(check int) "unexpected protocol errors" 0 (total (fun t -> t.protocol_errors));
   Alcotest.(check int) "premature shutting_down" 0 (total (fun t -> t.shutting_down));
   Alcotest.(check int) "counter monotonicity violations" 0 (Atomic.get violations);
+  Alcotest.(check int)
+    "evaluates differing from in-process evaluation" 0
+    (total (fun t -> t.mismatches));
   (* Flat RSS: the whole soak may not grow the process by more than a
      fixed allowance (GC noise + socket buffers), independent of how
      many requests ran. *)
@@ -193,11 +221,31 @@ let test_soak () =
   let get k = List.assoc k counters in
   Alcotest.(check int) "write failures" 0 (get "write_failures");
   Alcotest.(check bool) "served requests" true (get "replies" > 0);
-  Alcotest.(check bool)
-    "cache churned at full capacity" true
-    (get "cache_evictions" > 0);
+  check get;
   Serve.Daemon.shutdown h;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
+
+let test_soak () =
+  hammer ~tag:"hammer"
+    ~configure:(fun c ->
+      (* Far below the mix's distinct-request count: the result cache
+         churns at full capacity the whole soak, so eviction runs under
+         the RSS and monotonicity gates too. *)
+      { c with Serve.Daemon.cache_capacity = 4 })
+    ~check:(fun get ->
+      Alcotest.(check bool)
+        "cache churned at full capacity" true
+        (get "cache_evictions" > 0))
+
+let test_soak_registry_full () =
+  hammer ~tag:"registry-full"
+    ~configure:(fun c ->
+      { c with Serve.Daemon.max_sessions = 0; cache_capacity = 0 })
+    ~check:(fun get ->
+      Alcotest.(check bool)
+        "evaluates took the registry-full fallback" true
+        (get "registry_full" > 0);
+      Alcotest.(check int) "no result-cache hits" 0 (get "cache_hits"))
 
 let test_drain_mid_traffic () =
   let sock = fresh_sock "drain" in
@@ -288,6 +336,9 @@ let () =
             `Slow test_soak;
           Alcotest.test_case "graceful drain mid-traffic" `Slow
             test_drain_mid_traffic;
+          Alcotest.test_case
+            (Printf.sprintf "registry-full fallback, %.0fs budget" soak_seconds)
+            `Slow test_soak_registry_full;
         ] );
       ( "subprocess",
         [

@@ -61,8 +61,8 @@ let test_accesses_exact () =
   (* The paper: "MCCM off-chip accesses calculations are exact". *)
   List.iter
     (fun archi ->
-      let built = Builder.Build.build res50 Platform.Board.vcu108 archi in
-      let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let built = Workload_helper.build res50 Platform.Board.vcu108 archi in
+      let est = Workload_helper.estimate built in
       let ref_ = (Sim.Simulate.run built).Sim.Simulate.metrics in
       check
         (Printf.sprintf "accesses equal for %s" archi.Arch.Block.name)
@@ -73,8 +73,8 @@ let test_accesses_exact () =
 let test_buffer_banked_at_least_model () =
   List.iter
     (fun archi ->
-      let built = Builder.Build.build mobv2 Platform.Board.zcu102 archi in
-      let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let built = Workload_helper.build mobv2 Platform.Board.zcu102 archi in
+      let est = Workload_helper.estimate built in
       let ref_ = (Sim.Simulate.run built).Sim.Simulate.metrics in
       checkb "bank rounding only grows buffers" true
         (ref_.Mccm.Metrics.buffer_bytes >= est.Mccm.Metrics.buffer_bytes))
@@ -84,8 +84,8 @@ let test_sim_slower_than_model () =
   (* Overheads and derating only slow the surrogate down. *)
   List.iter
     (fun archi ->
-      let built = Builder.Build.build mobv2 Platform.Board.vcu108 archi in
-      let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let built = Workload_helper.build mobv2 Platform.Board.vcu108 archi in
+      let est = Workload_helper.estimate built in
       let ref_ = (Sim.Simulate.run built).Sim.Simulate.metrics in
       checkb "sim latency >= model" true
         (ref_.Mccm.Metrics.latency_s >= est.Mccm.Metrics.latency_s *. 0.999);
@@ -97,8 +97,8 @@ let test_sim_slower_than_model () =
 let accuracy_floor ~board ~model ~floor =
   List.iter
     (fun archi ->
-      let built = Builder.Build.build model board archi in
-      let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let built = Workload_helper.build model board archi in
+      let est = Workload_helper.estimate built in
       let ref_ = (Sim.Simulate.run built).Sim.Simulate.metrics in
       let c = Report.Accuracy.compare_metrics ~reference:ref_ ~estimated:est in
       checkb
@@ -125,8 +125,8 @@ let test_ideal_config_matches_model () =
      different units), and byte counts match to the byte. *)
   List.iter
     (fun archi ->
-      let built = Builder.Build.build mobv2 Platform.Board.zcu102 archi in
-      let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let built = Workload_helper.build mobv2 Platform.Board.zcu102 archi in
+      let est = Workload_helper.estimate built in
       let ref_ =
         (Sim.Simulate.run ~cfg:Sim.Sim_config.ideal built).Sim.Simulate.metrics
       in
@@ -172,8 +172,8 @@ let prop_accesses_exact_all_boards =
         | `Rr -> Arch.Baselines.segmented_rr ~ces mobv2
         | `Hyb -> Arch.Baselines.hybrid ~ces mobv2
       in
-      let built = Builder.Build.build mobv2 board archi in
-      let est = (Mccm.Evaluate.run built).Mccm.Evaluate.metrics in
+      let built = Workload_helper.build mobv2 board archi in
+      let est = Workload_helper.estimate built in
       let ref_ = (Sim.Simulate.run built).Sim.Simulate.metrics in
       Mccm.Metrics.accesses_bytes est = Mccm.Metrics.accesses_bytes ref_)
 
@@ -181,7 +181,7 @@ let prop_accesses_exact_all_boards =
 
 let test_trace_collects_all_tiles () =
   let built =
-    Builder.Build.build mobv2 Platform.Board.zcu102
+    Workload_helper.build mobv2 Platform.Board.zcu102
       (Arch.Baselines.segmented_rr ~ces:4 mobv2)
   in
   match Sim.Simulate.trace_block built ~block:0 with
@@ -221,7 +221,7 @@ let test_trace_collects_all_tiles () =
 
 let test_trace_single_block_none () =
   let built =
-    Builder.Build.build mobv2 Platform.Board.zcu102
+    Workload_helper.build mobv2 Platform.Board.zcu102
       (Arch.Baselines.segmented ~ces:4 mobv2)
   in
   checkb "single blocks yield no trace" true
@@ -229,7 +229,7 @@ let test_trace_single_block_none () =
 
 let test_trace_gantt_renders () =
   let built =
-    Builder.Build.build mobv2 Platform.Board.zcu102
+    Workload_helper.build mobv2 Platform.Board.zcu102
       (Arch.Baselines.segmented_rr ~ces:3 mobv2)
   in
   match Sim.Simulate.trace_block built ~block:0 with
@@ -242,7 +242,7 @@ let test_trace_gantt_renders () =
 
 let test_trace_out_of_range () =
   let built =
-    Builder.Build.build mobv2 Platform.Board.zcu102
+    Workload_helper.build mobv2 Platform.Board.zcu102
       (Arch.Baselines.segmented ~ces:2 mobv2)
   in
   Alcotest.check_raises "range"

@@ -1,4 +1,15 @@
-(* Tiny shared helper for builder tests. *)
+(* Tiny shared helpers for builder and model tests. *)
 
 let assignment () =
   Builder.Workload.pipelined_assignment ~ces:3 ~first:0 ~last:6
+
+(* A session-less build of [archi], reading per-layer scalars from a
+   fresh table of [model]. *)
+let build ?options model board archi =
+  Builder.Build.build ?options ~table:(Cnn.Table.of_model model) model board
+    archi
+
+(* The analytical metrics of a built design. *)
+let estimate (built : Builder.Build.t) =
+  (Mccm.Evaluate.run ~table:(Cnn.Table.of_model built.Builder.Build.model) built)
+    .Mccm.Evaluate.metrics
