@@ -8,7 +8,14 @@
 
 val smooth_degree : int -> int
 (** [smooth_degree n] is the largest 7-smooth number that is at most
-    [n], or 1 when [n < 1]. *)
+    [n], or 1 when [n < 1].  Defined for every [int]: a binary search
+    over a precomputed table up to 2{^20}, and an overflow-safe
+    enumeration above it. *)
+
+val next_smooth_geq : int -> int
+(** [next_smooth_geq n] is the smallest 7-smooth number that is at
+    least [n], or 1 when [n <= 1].  Above the largest 7-smooth [int]
+    no such number fits, and that largest one is returned instead. *)
 
 val cycle_floor : pes:int -> Cnn.Table.t -> int -> int
 (** [cycle_floor ~pes table i] is the minimum Eq.-1 cycle count of the
@@ -44,9 +51,15 @@ val choose_indices :
     larger height factor.  Returns {!Engine.Parallelism.scalar} for an
     empty index list.
 
-    The search is memoised process-wide by content — (pes, unroll mode,
-    the layers' loop-extent terms) — so identical workloads from any
-    table, session or one-shot evaluation share one entry.  Per-CE
+    The search is exhaustive over 7-smooth (first-dimension, height)
+    degrees, each with the largest 7-smooth width that fits, and
+    allocates nothing per candidate.  It is memoised process-wide by
+    content: the key is (pes, unroll mode, the merged terms), where
+    layers with equal (first-dimension, height, width) extents are
+    merged into one term by summing their un-unrolled extent products,
+    in sorted order.  Identical workloads from any table, session or
+    one-shot evaluation therefore share one entry, as do permutations of
+    [indices] and layers swapped for others of the same shape.  Per-CE
     results are additionally cached per session in {!Build.cache}.
 
     @raise Invalid_argument if [pes < 1]. *)

@@ -47,6 +47,148 @@ let test_smooth_degree () =
   let rec strip n p = if n mod p = 0 then strip (n / p) p else n in
   check "7-smooth" 1 (strip (strip (strip (strip d 2) 3) 5) 7)
 
+(* Trial division: [n] is 7-smooth iff dividing out 2, 3, 5 and 7
+   leaves 1. *)
+let is_smooth n =
+  let rec strip n p = if n mod p = 0 then strip (n / p) p else n in
+  n >= 1 && strip (strip (strip (strip n 2) 3) 5) 7 = 1
+
+(* Overflow guard: near max_int an unguarded [v * p] wraps, and a
+   generator built on it never stops.  Past the largest 7-smooth int
+   [smooth_degree] saturates and [next_smooth_geq] clamps to it,
+   because no larger 7-smooth number fits in an int. *)
+let test_smooth_extremes () =
+  let sd = Builder.Parallelism_select.smooth_degree in
+  let ng = Builder.Parallelism_select.next_smooth_geq in
+  let top = sd max_int in
+  checkb "top is 7-smooth" true (is_smooth top);
+  (* 2 * top would be a larger 7-smooth int if it fit. *)
+  checkb "top > max_int / 2" true (top > max_int / 2);
+  let half = sd (max_int / 2) in
+  checkb "max_int / 2 -> 7-smooth" true (is_smooth half);
+  checkb "max_int / 2 -> in (max_int / 4, max_int / 2]" true
+    (half <= max_int / 2 && half > max_int / 4);
+  check "boundary is a fixed point" top (sd top);
+  check "next of boundary" top (ng top);
+  checkb "below boundary" true (sd (top - 1) < top && is_smooth (sd (top - 1)));
+  check "next just below boundary" top (ng (top - 1));
+  check "past boundary saturates" top (sd (top + 1));
+  check "next past boundary clamps" top (ng (top + 1));
+  check "next of max_int clamps" top (ng max_int);
+  let nh = ng (max_int / 2) in
+  checkb "next of max_int / 2" true
+    (is_smooth nh && nh >= max_int / 2 && nh <= top)
+
+(* Both functions against the trial-division definition, on 1..200 000
+   and on a window around 2^20, where the precomputed table ends and
+   the overflow-safe fallback takes over. *)
+let test_smooth_trial_division () =
+  let check_range first last =
+    let rec below n = if is_smooth n then n else below (n - 1) in
+    let rec above n = if is_smooth n then n else above (n + 1) in
+    let b = ref (below first) and a = ref (above first) in
+    for n = first to last do
+      if is_smooth n then b := n;
+      if !a < n then a := above n;
+      if Builder.Parallelism_select.smooth_degree n <> !b then
+        Alcotest.failf "smooth_degree %d = %d, expected %d" n
+          (Builder.Parallelism_select.smooth_degree n) !b;
+      if Builder.Parallelism_select.next_smooth_geq n <> !a then
+        Alcotest.failf "next_smooth_geq %d = %d, expected %d" n
+          (Builder.Parallelism_select.next_smooth_geq n) !a
+    done
+  in
+  check_range 1 200_000;
+  check_range ((1 lsl 20) - 2_000) ((1 lsl 20) + 2_000)
+
+(* The list-based parallelism search that [choose_indices] replaced,
+   kept verbatim (minus its memo) as the reference the table-driven
+   search must match bit for bit. *)
+module Oracle = struct
+  module P = Engine.Parallelism
+
+  (* Ascending 7-smooth numbers up to [limit]. *)
+  let smooth_upto limit =
+    if limit < 1 then []
+    else begin
+      let acc = ref [] in
+      let rec loop7 v = if v <= limit then (acc := v :: !acc; loop7 (v * 7)) in
+      let rec loop5 v = if v <= limit then (loop7 v; loop5 (v * 5)) in
+      let rec loop3 v = if v <= limit then (loop5 v; loop3 (v * 3)) in
+      let rec loop2 v = if v <= limit then (loop3 v; loop2 (v * 2)) in
+      loop2 1;
+      List.sort_uniq compare !acc
+    end
+
+  let smooth_degree n =
+    if n < 1 then 1 else List.fold_left max 1 (smooth_upto n)
+
+  (* Smallest 7-smooth number >= n.  A power of two always lies in
+     [n, 2n), so searching up to 2n suffices. *)
+  let next_smooth_geq n =
+    if n <= 1 then 1
+    else List.find (fun s -> s >= n) (smooth_upto (2 * n))
+
+  let solve ~pes ~channel_mode ~terms =
+      let cd = Util.Int_math.ceil_div in
+      let max_of sel = List.fold_left (fun a t -> max a (sel t)) 1 terms in
+      let max1 = max_of (fun (d, _, _, _) -> d) in
+      let maxh = max_of (fun (_, h, _, _) -> h) in
+      let maxw = max_of (fun (_, _, w, _) -> w) in
+      let cost d1 h w =
+        List.fold_left
+          (fun acc (e1, eh, ew, rest) ->
+            acc + (rest * cd e1 d1 * cd eh h * cd ew w))
+          0 terms
+      in
+      let best = ref (cost 1 1 1, 1, 1, 1) in
+      let consider d1 h w =
+        let c = cost d1 h w in
+        let bc, bd, bh, _ = !best in
+        if c < bc || (c = bc && (d1 > bd || (d1 = bd && h > bh))) then
+          best := (c, d1, h, w)
+      in
+      List.iter
+        (fun d1 ->
+          let rem = pes / d1 in
+          List.iter
+            (fun h ->
+              let w = smooth_degree (min (rem / h) (next_smooth_geq maxw)) in
+              consider d1 h w)
+            (smooth_upto (min rem (next_smooth_geq maxh))))
+        (smooth_upto (min pes (next_smooth_geq max1)));
+      let _, d1, h, w = !best in
+      P.of_factors
+        (if channel_mode then [ (P.Channels, d1); (P.Height, h); (P.Width, w) ]
+         else [ (P.Filters, d1); (P.Height, h); (P.Width, w) ])
+
+  (* Returns the unroll mode too, so callers can check both get covered. *)
+  let choose_indices ~pes table indices =
+    match indices with
+    | [] -> (P.scalar, false)
+    | _ ->
+      let dw_macs, total_macs =
+        List.fold_left
+          (fun (dw, tot) i ->
+            let m = Cnn.Table.macs table i in
+            ((if Cnn.Table.is_depthwise table i then dw + m else dw), tot + m))
+          (0, 0) indices
+      in
+      let channel_mode = 2 * dw_macs >= total_macs in
+      (* Per layer: (first-dim extent, height, width, product of the
+         un-unrolled extents). *)
+      let terms =
+        List.map
+          (fun i ->
+            let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
+            let k2 = ekh * ekw in
+            if channel_mode then (ec, eh, ew, ef * k2)
+            else (ef, eh, ew, ec * k2))
+          indices
+      in
+      (solve ~pes ~channel_mode ~terms, channel_mode)
+end
+
 let test_choose_degree_within_budget () =
   List.iter
     (fun pes ->
@@ -350,6 +492,156 @@ let prop_producer_tile_range =
       in
       0 <= p && p < pt)
 
+(* ------------------------------------------ search against the oracle *)
+
+(* A seeded check_prop loop: [count] cases drawn from [gen] with a fixed
+   seed, so a failure reproduces exactly, and the failing cases are
+   counted and the first one printed. *)
+let check_prop ~name ~seed ~count gen prop pp =
+  let rand = Random.State.make [| seed |] in
+  let failures = ref [] in
+  for _ = 1 to count do
+    let x = QCheck2.Gen.generate1 ~rand gen in
+    if not (prop x) then failures := x :: !failures
+  done;
+  match List.rev !failures with
+  | [] -> ()
+  | first :: _ as fs ->
+    Alcotest.failf "%s: %d of %d cases failed; first: %a" name
+      (List.length fs) count pp first
+
+(* A search case: a table, a PE count and the layer indices of one
+   engine. *)
+type search_case = {
+  label : string;
+  table : Cnn.Table.t;
+  pes : int;
+  indices : int list;
+}
+
+let pp_case ppf c =
+  Format.fprintf ppf "%s pes=%d indices=[%s]" c.label c.pes
+    (String.concat ";" (List.map string_of_int c.indices))
+
+let zoo_tables =
+  lazy
+    (List.map
+       (fun m -> (m.Cnn.Model.abbreviation, Cnn.Table.of_model m))
+       (Cnn.Model_zoo.extended ()))
+
+(* A random contiguous layer range of [table] with pes in 1..6000.  One
+   case in three keeps only the range's depthwise layers (when it has
+   any), which puts the engine in channel mode. *)
+let range_case (label, table) =
+  let open QCheck2.Gen in
+  let n = Cnn.Table.num_layers table in
+  let* a = int_range 0 (n - 1) in
+  let* b = int_range 0 (n - 1) in
+  let* pes = int_range 1 6000 in
+  let* depthwise_only = map (fun k -> k = 0) (int_bound 2) in
+  let span = range (min a b) (max a b) in
+  let dw = List.filter (Cnn.Table.is_depthwise table) span in
+  let indices = if depthwise_only && dw <> [] then dw else span in
+  return { label; table; pes; indices }
+
+(* A random engine workload outside the zoo: 1-10 independent layers of
+   every kind, then 1-12 indices into them, repeats and any order
+   allowed. *)
+let generated_case =
+  let open QCheck2.Gen in
+  let layer i =
+    let* kind =
+      oneofl
+        Cnn.Layer.[ Standard; Standard; Depthwise; Pointwise; Fully_connected ]
+    in
+    let* channels = int_range 1 512 in
+    let* height = int_range 1 64 in
+    let* width = int_range 1 64 in
+    let* out = int_range 1 512 in
+    let* kernel = oneofl [ 1; 3; 5; 7 ] in
+    let* stride = oneofl [ 1; 1; 2 ] in
+    let kernel, height, width =
+      match kind with
+      | Cnn.Layer.Pointwise -> (1, height, width)
+      | Cnn.Layer.Fully_connected -> (1, 1, 1)
+      | _ -> (kernel, height, width)
+    in
+    let out_channels =
+      match kind with Cnn.Layer.Depthwise -> channels | _ -> out
+    in
+    return
+      (Cnn.Layer.v ~index:i ~name:(Printf.sprintf "g%d" i) ~kind
+         ~in_shape:(Cnn.Shape.v ~channels ~height ~width)
+         ~out_channels ~kernel ~stride ~padding:(kernel / 2) ())
+  in
+  let* n = int_range 1 10 in
+  let* layers = flatten_l (List.init n layer) in
+  let table =
+    Cnn.Table.of_model
+      (Cnn.Model.v ~name:"generated" ~abbreviation:"Gen" ~layers)
+  in
+  let* indices = list_size (int_range 1 12) (int_bound (n - 1)) in
+  let* pes = int_range 1 6000 in
+  return { label = "generated"; table; pes; indices }
+
+let matches_oracle modes c =
+  let expected, channel_mode =
+    Oracle.choose_indices ~pes:c.pes c.table c.indices
+  in
+  Hashtbl.replace modes channel_mode ();
+  Engine.Parallelism.equal expected
+    (Builder.Parallelism_select.choose_indices ~pes:c.pes c.table c.indices)
+
+let test_search_matches_oracle () =
+  let modes = Hashtbl.create 2 in
+  List.iteri
+    (fun k ((label, _) as t) ->
+      check_prop ~name:("oracle on " ^ label) ~seed:(100 + k) ~count:40
+        (range_case t) (matches_oracle modes) pp_case)
+    (Lazy.force zoo_tables);
+  check_prop ~name:"oracle on generated workloads" ~seed:7 ~count:300
+    generated_case (matches_oracle modes) pp_case;
+  checkb "filter mode covered" true (Hashtbl.mem modes false);
+  checkb "channel mode covered" true (Hashtbl.mem modes true)
+
+(* The choice depends only on the multiset of layer shapes: permuting
+   the indices, swapping a layer for another layer of the same shape,
+   or listing every layer twice (which doubles every candidate's cost)
+   must not change it. *)
+let test_search_shape_invariance () =
+  let choose c = Builder.Parallelism_select.choose_indices ~pes:c.pes c.table in
+  let shape table i =
+    (Cnn.Table.extents table i, Cnn.Table.is_depthwise table i)
+  in
+  let invariant_case ((_, table) as t) =
+    let open QCheck2.Gen in
+    let* c = range_case t in
+    let* permuted = shuffle_l c.indices in
+    let twins i =
+      List.filter
+        (fun j -> shape table j = shape table i)
+        (range 0 (Cnn.Table.num_layers table - 1))
+    in
+    let* swapped = flatten_l (List.map (fun i -> oneofl (twins i)) c.indices) in
+    return (c, permuted, swapped)
+  in
+  let pp ppf (c, permuted, swapped) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Format.fprintf ppf "%a permuted=[%s] swapped=[%s]" pp_case c
+      (ints permuted) (ints swapped)
+  in
+  List.iteri
+    (fun k ((label, _) as t) ->
+      check_prop ~name:("shape invariance on " ^ label) ~seed:(200 + k)
+        ~count:40 (invariant_case t)
+        (fun (c, permuted, swapped) ->
+          let p = choose c c.indices in
+          List.for_all
+            (fun l -> Engine.Parallelism.equal p (choose c l))
+            [ permuted; swapped; c.indices @ c.indices ])
+        pp)
+    (Lazy.force zoo_tables)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -370,6 +662,13 @@ let () =
       ( "parallelism_select",
         [
           Alcotest.test_case "smooth degree" `Quick test_smooth_degree;
+          Alcotest.test_case "smooth extremes" `Quick test_smooth_extremes;
+          Alcotest.test_case "smooth trial division" `Quick
+            test_smooth_trial_division;
+          Alcotest.test_case "search matches oracle" `Quick
+            test_search_matches_oracle;
+          Alcotest.test_case "search shape invariance" `Quick
+            test_search_shape_invariance;
           Alcotest.test_case "degree within budget" `Quick
             test_choose_degree_within_budget;
           Alcotest.test_case "depthwise channels" `Quick
