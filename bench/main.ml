@@ -318,8 +318,8 @@ let bench_dse () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Domains-parallel exhaustive scan: the same bound-pruned argmax scan
-   at domain counts 1/2/4 on unmemoized sessions (raw model evaluation
+(* Domains-parallel exhaustive search: the same bound-ordered argmax
+   search at domain counts 1/2/4 on unmemoized sessions (raw model evaluation
    is what must scale; caching would blur it).  Each domain count is
    timed twice: against a caller-owned warm pool (domains spawned once,
    outside the timed region — the steady-state DSE loop) and cold (the
@@ -329,8 +329,7 @@ let bench_dse () =
    JSON records.  CI gates 4-domain vs 1-domain warm throughput — but
    only when the recording machine actually had >= 4 cores, so the JSON
    also records the runner's recommended domain count — plus a
-   winners-identical matrix over {1,2,4} domains x {scan, best-first} x
-   {pruned, unpruned}. *)
+   winners-identical matrix over {1,2,4} domains x {pruned, unpruned}. *)
 
 type par_point = {
   pd_domains : int;
@@ -366,14 +365,11 @@ let bench_parallel () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Pin the strategy: `Auto would switch 1-domain runs onto the
-     best-first search and the 4-vs-1-domain gate would compare two
-     different algorithms. *)
   let run ?pool domains =
     let session = Mccm.Eval_session.create ~memoize:false model board in
     time (fun () ->
         Dse.Enumerate.exhaustive_best ~max_specs ~session ~domains ?pool
-          ~clamp:false ~strategy:`Scan ~objective:`Throughput ~ces model board)
+          ~clamp:false ~objective:`Throughput ~ces model board)
   in
   let (ref_best, ref_stats), _ = run 1 in
   let points =
@@ -445,25 +441,21 @@ let bench_parallel () =
         })
   in
   (* The determinism matrix behind the /5 gate: every combination of
-     domain count, search strategy and pruning must return the same
-     winner as the sequential unpruned reference. *)
+     domain count and pruning must return the same winner as the
+     sequential unpruned reference. *)
   let winners_identical =
-    let winner ~domains ~strategy ~prune =
+    let winner ~domains ~prune =
       let session = Mccm.Eval_session.create ~memoize:false model board in
       fst
         (Dse.Enumerate.exhaustive_best ~max_specs ~session ~domains
-           ~clamp:false ~strategy ~prune ~objective:`Throughput ~ces model
-           board)
+           ~clamp:false ~prune ~objective:`Throughput ~ces model board)
     in
-    let reference = winner ~domains:1 ~strategy:`Scan ~prune:false in
+    let reference = winner ~domains:1 ~prune:false in
     List.for_all
       (fun domains ->
         List.for_all
-          (fun strategy ->
-            List.for_all
-              (fun prune -> winner ~domains ~strategy ~prune = reference)
-              [ true; false ])
-          [ `Scan; `Best_first ])
+          (fun prune -> winner ~domains ~prune = reference)
+          [ true; false ])
       [ 1; 2; 4 ]
   in
   let bench =
@@ -511,100 +503,18 @@ let bench_parallel () =
      %.3fs over %d round(s) / %d chunk(s)@."
     phases.ph_warmup_s phases.ph_fork_s phases.ph_chunk_s phases.ph_absorb_s
     phases.ph_rounds phases.ph_chunks;
-  Format.printf "winners identical across domains x strategy x pruning: %b@."
+  Format.printf "winners identical across domains x pruning: %b@."
     winners_identical;
   if not winners_identical then
     failwith "exhaustive_parallel: winner matrix disagrees";
   bench
 
-(* ------------------------------------------------------------------ *)
-(* Best-first branch-and-bound vs pruned scan on the deep-space
-   configuration (ResNet152, 10 CEs) where the segment bounds actually
-   bite: both searches are exact, so the winner must match bit for bit,
-   and CI gates the recorded prune ratio at 0.5. *)
-
-type bnb_bench = {
-  bb_model : string;
-  bb_board : string;
-  bb_ces : int;
-  bb_max_specs : int;
-  bb_enumerated : int;
-  bb_evaluated : int;
-  bb_pruned : int;
-  bb_nodes : int;
-  bb_prune_ratio : float;
-  bb_seconds : float;
-  bb_scan_seconds : float;
-  bb_winner_matches_scan : bool;
-}
-
-let bench_bnb () =
-  let model = Cnn.Model_zoo.resnet152 () in
-  let board = Platform.Board.vcu108 in
-  let ces = 10 and max_specs = 30000 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let run strategy =
-    let session = Mccm.Eval_session.create ~memoize:false model board in
-    time (fun () ->
-        Dse.Enumerate.exhaustive_best ~max_specs ~session ~clamp:false
-          ~strategy ~objective:`Throughput ~ces model board)
-  in
-  let (bnb_best, bnb_stats), bnb_s = run `Best_first in
-  let (scan_best, _), scan_s = run `Scan in
-  if bnb_best <> scan_best then
-    failwith "enumerate_bnb: best-first winner disagrees with the pruned scan";
-  let bench =
-    {
-      bb_model = "ResNet152";
-      bb_board = "VCU108";
-      bb_ces = ces;
-      bb_max_specs = max_specs;
-      bb_enumerated = bnb_stats.Dse.Enumerate.enumerated;
-      bb_evaluated = bnb_stats.Dse.Enumerate.evaluated;
-      bb_pruned = bnb_stats.Dse.Enumerate.pruned;
-      bb_nodes = bnb_stats.Dse.Enumerate.nodes;
-      bb_prune_ratio =
-        float_of_int bnb_stats.Dse.Enumerate.pruned
-        /. float_of_int (max 1 bnb_stats.Dse.Enumerate.enumerated);
-      bb_seconds = bnb_s;
-      bb_scan_seconds = scan_s;
-      bb_winner_matches_scan = true;
-    }
-  in
-  let table =
-    Util.Table.create
-      ~title:
-        (Format.sprintf
-           "Best-first branch-and-bound (%s / %s, ces=%d, %d specs)"
-           bench.bb_model bench.bb_board ces bench.bb_enumerated)
-      ~columns:
-        [ ("search", Util.Table.Left); ("seconds", Util.Table.Right);
-          ("evaluated", Util.Table.Right); ("pruned", Util.Table.Right);
-          ("nodes", Util.Table.Right) ]
-      ()
-  in
-  Util.Table.add_row table
-    [ "best-first"; Format.sprintf "%.3f" bnb_s;
-      string_of_int bench.bb_evaluated;
-      Format.sprintf "%d (%.1f%%)" bench.bb_pruned
-        (100.0 *. bench.bb_prune_ratio);
-      string_of_int bench.bb_nodes ];
-  Util.Table.add_row table
-    [ "pruned scan"; Format.sprintf "%.3f" scan_s; "-"; "-"; "0" ];
-  Util.Table.print table;
-  Format.printf "winners identical across strategies@.";
-  bench
-
 (* Hand-rolled JSON emission (the toolchain has no JSON library); the
    schema is consumed by check_bench.ml and CI. *)
-let write_bench_json ~path rows par bnb =
+let write_bench_json ~path rows par =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.bprintf buf fmt in
-  add "{\n  \"schema\": \"mccm-bench-dse/6\",\n";
+  add "{\n  \"schema\": \"mccm-bench-dse/7\",\n";
   add "  \"fig10_samples\": %d,\n" !fig10_samples;
   add "  \"recommended_domains\": %d,\n" (Util.Parallel.recommended ());
   add "  \"workloads\": [\n";
@@ -661,19 +571,6 @@ let write_bench_json ~path rows par bnb =
         (if i = np - 1 then "" else ","))
     par.par_points;
   add "    ] },\n";
-  add
-    "  \"enumerate_bnb\": { \"model\": \"%s\", \"board\": \"%s\", \"ces\": \
-     %d, \"max_specs\": %d,\n"
-    bnb.bb_model bnb.bb_board bnb.bb_ces bnb.bb_max_specs;
-  add
-    "    \"enumerated\": %d, \"evaluated\": %d, \"pruned\": %d, \"nodes\": \
-     %d, \"prune_ratio\": %.4f,\n"
-    bnb.bb_enumerated bnb.bb_evaluated bnb.bb_pruned bnb.bb_nodes
-    bnb.bb_prune_ratio;
-  add
-    "    \"seconds\": %.6f, \"scan_seconds\": %.6f, \
-     \"winner_matches_scan\": %b },\n"
-    bnb.bb_seconds bnb.bb_scan_seconds bnb.bb_winner_matches_scan;
   add "  \"artifacts\": [\n";
   (* Only paper artifacts; the Bechamel and cache sections time themselves. *)
   let times =
@@ -725,10 +622,7 @@ let () =
   section "DSE session cache" (fun () -> rows := bench_dse ());
   let par = ref None in
   section "parallel exhaustive scan" (fun () -> par := Some (bench_parallel ()));
-  let bnb = ref None in
-  section "best-first branch-and-bound" (fun () -> bnb := Some (bench_bnb ()));
   write_bench_json
     ~path:(Option.value json ~default:"BENCH_dse.json")
     !rows
     (Option.get !par)
-    (Option.get !bnb)

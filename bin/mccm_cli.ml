@@ -629,7 +629,7 @@ let enumerate_cmd =
       value & opt int 1
       & info [ "j"; "domains" ] ~docv:"N"
           ~doc:
-            "Parallel OCaml domains to spread the scan over \
+            "Parallel OCaml domains to spread the search over \
              (deterministic: the best design is the same for every \
              $(docv)).")
   in
@@ -649,15 +649,6 @@ let enumerate_cmd =
             "Disable the admissible-bound prune (every spec is \
              evaluated; the chosen design is unchanged).")
   in
-  let scan_arg =
-    Arg.(
-      value & flag
-      & info [ "scan" ]
-          ~doc:
-            "Force the chunked scan instead of the best-first \
-             branch-and-bound (the default with pruning on and one \
-             domain).  The chosen design is unchanged.")
-  in
   let no_clamp_arg =
     Arg.(
       value & flag
@@ -668,13 +659,12 @@ let enumerate_cmd =
              unchanged; useful for exercising the multi-domain path on \
              small machines.")
   in
-  let run obs model board ces max_specs domains best no_prune scan no_clamp =
+  let run obs model board ces max_specs domains best no_prune no_clamp =
     with_obs "enumerate" obs @@ fun () ->
     let started = Unix.gettimeofday () in
-    let strategy = if scan then `Scan else `Auto in
     let winner, stats =
       Dse.Enumerate.exhaustive_best ~max_specs ~domains
-        ~clamp:(not no_clamp) ~prune:(not no_prune) ~strategy ~objective:best
+        ~clamp:(not no_clamp) ~prune:(not no_prune) ~objective:best
         ~ces model board
     in
     let elapsed = Unix.gettimeofday () -. started in
@@ -706,12 +696,15 @@ let enumerate_cmd =
   Cmd.v
     (Cmd.info "enumerate"
        ~doc:
-         "Search every custom design at a fixed CE count — best-first \
-          branch-and-bound, or a bound-pruned Domains-parallel scan — \
-          and print the best design for an objective.")
+         "Search every custom design at a fixed CE count and print the \
+          best design for an objective.  Specs are visited in order of \
+          their admissible bound, so the search stops once no remaining \
+          spec can win; with $(b,-j) the bound order is visited in \
+          rounds over parallel domains.  The B&B node(s) column is \
+          always 0.")
     Term.(
       const run $ obs_args $ model_arg $ board_arg $ ces_arg $ max_specs_arg
-      $ domains_arg $ best_arg $ no_prune_arg $ scan_arg $ no_clamp_arg)
+      $ domains_arg $ best_arg $ no_prune_arg $ no_clamp_arg)
 
 (* ------------------------------------------------------------ serve *)
 

@@ -45,7 +45,6 @@ type t = {
   weights_pfx : int array;      (* likewise for weight elements *)
   fms_sparse : int array array;
       (* fms_sparse.(k).(i) = max fms.(i .. i + 2^k - 1) *)
-  macs_sparse : int array array; (* likewise over macs *)
   log2 : int array;             (* log2.(l) = floor (log2 l), length n+1 *)
 }
 
@@ -110,7 +109,6 @@ let of_model model =
     s
   in
   let fms_sparse = sparse_max fms in
-  let macs_sparse = sparse_max macs in
   {
     model; n; macs; weights; ifm; ofm; extra; fms;
     in_h; in_w; in_c; out_h; out_w; out_c;
@@ -119,7 +117,7 @@ let of_model model =
     band1;
     macs_pfx = prefix macs;
     weights_pfx = prefix weights;
-    fms_sparse; macs_sparse; log2;
+    fms_sparse; log2;
   }
 
 let model t = t.model
@@ -177,11 +175,4 @@ let max_fms_range t ~first ~last =
   let len = last - first + 1 in
   let k = t.log2.(len) in
   let row = t.fms_sparse.(k) in
-  max row.(first) row.(last + 1 - (1 lsl k))
-
-let max_macs_range t ~first ~last =
-  check_range t ~first ~last;
-  let len = last - first + 1 in
-  let k = t.log2.(len) in
-  let row = t.macs_sparse.(k) in
   max row.(first) row.(last + 1 - (1 lsl k))

@@ -72,9 +72,3 @@ val weights_range : t -> first:int -> last:int -> int
 val max_fms_range : t -> first:int -> last:int -> int
 (** Equals [Model.max_fms_elements] (sparse-table range max).
     @raise Invalid_argument on an invalid range. *)
-
-val max_macs_range : t -> first:int -> last:int -> int
-(** Largest single-layer MAC count in [first, last] (sparse-table range
-    max) — e.g. the widest layer a segment of the range must contain,
-    which anchors the suffix floors of [Dse.Bounds].
-    @raise Invalid_argument on an invalid range. *)

@@ -69,8 +69,6 @@ and ctx = {
   cx_qlvl_pfx : int array array;
       (* per level, length n+1: prefix sums of cycle_floor at that
          level's PE count *)
-  cx_qlvl_sfxmax : int array array;
-      (* per level, length n+1: max leveled floor over layers >= i *)
   cx_head_pfxmax : float array;
       (* length n+1: max over layers < i of the layer's floor at its
          own head-engine share ceiling *)
@@ -122,7 +120,6 @@ let make_ctx t ces =
   in
   let nl = Array.length levels in
   let qlvl_pfx = Array.make_matrix nl (n + 1) 0 in
-  let qlvl_sfxmax = Array.make_matrix nl (n + 1) 0 in
   for k = 0 to nl - 1 do
     let q =
       Array.init n (fun i ->
@@ -130,9 +127,6 @@ let make_ctx t ces =
     in
     for i = 0 to n - 1 do
       qlvl_pfx.(k).(i + 1) <- qlvl_pfx.(k).(i) + q.(i)
-    done;
-    for i = n - 1 downto 0 do
-      qlvl_sfxmax.(k).(i) <- max qlvl_sfxmax.(k).(i + 1) q.(i)
     done
   done;
   let head_pfxmax = Array.make (n + 1) 0.0 in
@@ -158,7 +152,6 @@ let make_ctx t ces =
     cx_spare = spare;
     cx_levels = levels;
     cx_qlvl_pfx = qlvl_pfx;
-    cx_qlvl_sfxmax = qlvl_sfxmax;
     cx_head_pfxmax = head_pfxmax;
     cx_head_ceil_pfx = head_ceil_pfx;
   }
@@ -220,9 +213,8 @@ let seg_ceiling ctx m =
    ([sum m_j / g (sum m_j) <= sum (m_j / g m_j)] needs only [g]
    nondecreasing).  NOT monotone in [m]: [m / g m] drops where the
    integer ceiling steps up ([m / (p + 1)] can undercut [(m - 1) / p]),
-   so the monotone core and the suffix widest-layer term — whose
-   admissibility arguments compare floors at different MAC counts —
-   must keep [alloc_floor_f]. *)
+   so the monotone core — whose monotonicity argument compares floors
+   at different MAC counts — must keep [alloc_floor_f]. *)
 let alloc_floor_int ctx m =
   if m <= 0 then 0.0
   else float_of_int m /. float_of_int (seg_ceiling ctx m)
@@ -274,54 +266,7 @@ let head_ii_floor ctx ~f =
     guard (Float.max ctx.cx_head_pfxmax.(f) mean)
   end
 
-let suffix_ii_floor ctx ~first ~segments =
-  let t = ctx.cx_owner in
-  let n = Cnn.Table.num_layers t.table in
-  if first >= n || segments < 1 then 0.0
-  else begin
-    let msuf = Cnn.Table.macs_range t.table ~first ~last:(n - 1) in
-    let mmax = Cnn.Table.max_macs_range t.table ~first ~last:(n - 1) in
-    (* Every tail segment holds at most the whole suffix's MACs, so the
-       suffix-level grid row is admissible for each of them. *)
-    let k = level_index ctx (seg_ceiling ctx msuf) in
-    let qsum = ctx.cx_qlvl_pfx.(k).(n) - ctx.cx_qlvl_pfx.(k).(first) in
-    let sm = float_of_int segments in
-    (* Four ways the slowest of the [segments] tail segments is pinned
-       from below: the segment holding any given layer pays its leveled
-       floor; the one holding the widest layer pays its allocation
-       floor; and the slowest is at least the mean of both floor
-       families. *)
-    guard
-      (Float.max
-         (float_of_int ctx.cx_qlvl_sfxmax.(k).(first))
-         (Float.max
-            (* [alloc_floor_f], not the tighter integer floor: the
-               segment holding the widest layer has [m_j >= mmax], and
-               only the real floor is monotone across that
-               comparison. *)
-            (alloc_floor_f ctx (float_of_int mmax))
-            (Float.max
-               (float_of_int qsum /. sm)
-               (alloc_floor_f ctx (float_of_int msuf /. sm)))))
-  end
-
-let suffix_latency_floor ctx ~first =
-  let t = ctx.cx_owner in
-  let n = Cnn.Table.num_layers t.table in
-  if first >= n then 0.0
-  else begin
-    let msuf_i = Cnn.Table.macs_range t.table ~first ~last:(n - 1) in
-    let qsum =
-      float_of_int (leveled_qsum ctx ~first ~last:(n - 1) ~m_ceiling_of:msuf_i)
-    in
-    (* Summed segment floors: the quantization floors add up, and the
-       allocation floor is subadditive (nondecreasing integer share
-       ceiling), so its value on the whole suffix bounds any split's
-       sum. *)
-    guard (Float.max qsum (alloc_floor_int ctx msuf_i))
-  end
-
-(* ------------------------------------------- composed partial bounds *)
+(* ---------------------------------------------- whole-spec bounds *)
 
 (* The conversion chain below — [_ /. clock], [Float.max], [1.0 /. _] —
    is the exact model's own ([Platform.Board.cycles_to_seconds], the
@@ -329,36 +274,6 @@ let suffix_latency_floor ctx ~first =
    cycle count that never exceeds the exact block's yields a bound that
    never undercuts (throughput) the exact score, bit-for-bit, with no
    slack factor. *)
-
-let partial_throughput_bound ctx ~worst_cycles ~first ~segments =
-  let t = ctx.cx_owner in
-  let cyc =
-    Float.max
-      (Float.max worst_cycles (suffix_ii_floor ctx ~first ~segments))
-      (global_ii_cycles t *. (1.0 -. eps))
-  in
-  let ii = Float.max (cyc /. t.clock) t.mem_floor_s in
-  if ii <= 0.0 then infinity else 1.0 /. ii
-
-let partial_latency_bound ctx ~latency_cycles ~sum_sqrt_macs ~first =
-  let t = ctx.cx_owner in
-  let n = Cnn.Table.num_layers t.table in
-  let cyc = latency_cycles +. suffix_latency_floor ctx ~first in
-  let sq =
-    sum_sqrt_macs
-    +.
-    if first < n then
-      sqrt (float_of_int (Cnn.Table.macs_range t.table ~first ~last:(n - 1)))
-    else 0.0
-  in
-  (* Latency floors cross a many-term float sum, so one global [1 - eps]
-     scale covers the whole chain's rounding. *)
-  Float.max
-    (Float.max (cyc /. t.clock) (sq *. sq /. t.peak))
-    t.mem_floor_s
-  *. (1.0 -. eps)
-
-(* ---------------------------------------------- whole-spec bounds *)
 
 (* Tail segment [first, last] inclusive, as (first, last) pairs. *)
 let tail_ranges t spec =

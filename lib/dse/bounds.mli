@@ -27,8 +27,8 @@
     under the default build options (proportional PE allocation; any
     parallelism or buffer mode), each query below is at most (cycles /
     latency) or at least (throughput) the exact evaluated value, so
-    pruning on these bounds never changes a best-first or scanning
-    search's winner.  The [`Balanced] PE-allocation ablation can exceed
+    pruning on these bounds never changes the exhaustive search's
+    winner.  The [`Balanced] PE-allocation ablation can exceed
     an engine's proportional share; bounds are not admissible for it.
     The QCheck2 suite in [test/test_bounds.ml] exercises every clause
     of this contract over random model/board/spec draws. *)
@@ -90,43 +90,7 @@ val segment_ii_floor_monotone : ctx -> first:int -> last:int -> float
     nonnegative summands; the allocation floor is nondecreasing in the
     MAC total). *)
 
-val suffix_ii_floor : ctx -> first:int -> segments:int -> float
-(** Lower bound on the {e slowest} of [segments] tail segments
-    partitioning layers [first ..] — however the partition is chosen:
-    the largest cap-level layer floor in the suffix, the allocation
-    floor of its widest layer, and the means (summed floors, suffix
-    MACs) over [segments].  At most [max segment_ii_floor] of every
-    concrete split, which is what makes branch-and-bound nodes
-    prunable before their boundaries are materialised. *)
-
-val suffix_latency_floor : ctx -> first:int -> float
-(** Lower bound on the {e summed} latency of the tail segments over
-    layers [first ..], independent of how many: summed cap-level floors
-    and the (subadditive) allocation floor of the whole suffix. *)
-
-(** {1 Composed bounds} *)
-
-val partial_throughput_bound :
-  ctx -> worst_cycles:float -> first:int -> segments:int -> float
-(** Optimistic throughput (images/s, admissible upper bound) of every
-    completion of a partial spec whose fixed blocks' floors max to
-    [worst_cycles] and whose remaining layers [first ..] must form
-    [segments] segments.  Composes {!suffix_ii_floor} with the mediant
-    and memory floors.  Every underlying floor carries a [1 - 1e-9]
-    rounding guard (the exact evaluator's per-layer float sums can
-    round below an unguarded integer floor), so the bound can exceed
-    the exact best completion by at most one part in 1e9 — admissible
-    always, and the searches break exact score ties by enumeration
-    rank. *)
-
-val partial_latency_bound :
-  ctx -> latency_cycles:float -> sum_sqrt_macs:float -> first:int -> float
-(** Optimistic latency (seconds, admissible lower bound) of every
-    completion: fixed-block floor sum [latency_cycles] plus
-    {!suffix_latency_floor}, the Cauchy-Schwarz PE-allocation floor
-    ((sum of block sqrt-MACs)^2 over board peak — [sqrt] of the suffix
-    MACs lower-bounds any split's contribution), and the memory floor,
-    with a [1 - 1e-9] rounding slack. *)
+(** {1 Whole-spec bounds} *)
 
 val compute_ii_floor_cycles : t -> Arch.Custom.spec -> float
 (** The compute side of a whole spec's interval floor, in cycles: max

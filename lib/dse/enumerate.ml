@@ -1,4 +1,4 @@
-(* Exhaustive enumeration, best-first branch-and-bound, and
+(* Exhaustive enumeration, the bound-ordered exhaustive search, and
    hill-climbing over custom specs. *)
 
 let h_neighbourhood = Mccm_obs.Metric.histogram "dse.neighbourhood_size"
@@ -6,7 +6,6 @@ let c_steps = Mccm_obs.Metric.counter "dse.local_search.steps"
 let c_exhaustive = Mccm_obs.Metric.counter "dse.exhaustive.specs"
 let c_evaluated = Mccm_obs.Metric.counter "dse.exhaustive.evaluated"
 let c_pruned = Mccm_obs.Metric.counter "dse.exhaustive.pruned"
-let c_nodes = Mccm_obs.Metric.counter "dse.bnb.nodes"
 let c_ls_pruned = Mccm_obs.Metric.counter "dse.local_search.pruned"
 let g_best_objective = Mccm_obs.Metric.gauge "dse.best_objective"
 
@@ -43,14 +42,6 @@ let session_or_fresh session model board =
   match session with
   | Some s -> s
   | None -> Mccm.Eval_session.create model board
-
-(* The admissible bound machinery lives in {!Bounds}; these aliases
-   keep the historical entry points (and their callers) intact. *)
-type bounds = Bounds.t
-
-let bounds table board = Bounds.create table board
-let throughput_upper_bound = Bounds.throughput_upper_bound
-let latency_lower_bound = Bounds.latency_lower_bound
 
 (* Sequential warm-up for a crew: run a small strided sample of the
    spec rows through the parent session so its plan/segment tables —
@@ -98,8 +89,6 @@ let exhaustive ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool ~ces
 
 type objective = [ `Throughput | `Latency ]
 
-type strategy = [ `Auto | `Best_first | `Scan ]
-
 type search_stats = {
   enumerated : int;
   evaluated : int;
@@ -108,316 +97,43 @@ type search_stats = {
   domains_used : int;
 }
 
-let sat_add a b = if a > max_int - b then max_int else a + b
+(* Rows per chunk of a parallel round: a round hands each crew worker
+   one chunk of this many consecutive rows of the bound order. *)
+let round_chunk = 256
 
-(* A branch-and-bound node: a partial spec with pipelined depth [nb_f]
-   and fixed tail boundaries [nb_rev] (reversed), leaving layers
-   [nb_next ..] to be split into [nb_segments] more segments.  Its
-   complete specs form a contiguous run of the lexicographic
-   enumeration order starting at index [nb_rank]; [nb_count] is how
-   many of them fall under the spec cap.  The running aggregates carry
-   the fixed blocks' floors so a child's bound costs O(1). *)
-type bnb_node = {
-  nb_bound : float;     (* optimistic objective score of the subtree *)
-  nb_rank : int;
-  nb_count : int;
-  nb_f : int;
-  nb_rev : int list;
-  nb_next : int;
-  nb_segments : int;
-  nb_worst : float;     (* max fixed-block interval floor, cycles *)
-  nb_lat : float;       (* summed fixed-block floors, cycles *)
-  nb_sq : float;        (* summed sqrt(block MACs) *)
-}
+let round_length ~crew_size =
+  if crew_size <= 1 then max_int else crew_size * round_chunk
 
-(* Sequential best-first branch-and-bound.  The frontier is a max-heap
-   on the node bound (ties: earliest lexicographic rank), so promising
-   regions are refined first and the incumbent climbs fast; a popped
-   node that cannot beat the incumbent — strictly below it, or exactly
-   at it with only later-rank (tie-losing) specs — kills its whole
-   subtree and, because the heap pops bounds in nonincreasing order,
-   everything still queued behind it.  That discipline plus the rank
-   tie-break on acceptance reproduces the unpruned sequential scan's
-   winner bit-for-bit: the lexicographically first spec attaining the
-   best score. *)
-let best_first ~max_specs ~session ~table ~prune ~score ~objective ~ces model
-    board =
-  let n = Cnn.Model.num_layers model in
-  let b = Bounds.create table board in
-  let ctx = Bounds.context b ~ces in
-  let space =
-    let total = ref 0 in
-    for f = 1 to min (ces - 1) (n - 1) do
-      let s = ces - f in
-      if n - f >= s then
-        total :=
-          sat_add !total (Space.completions ~num_layers:n ~first:f ~segments:s)
-    done;
-    !total
-  in
-  let cap_total = min space max_specs in
-  Mccm_obs.Metric.add c_exhaustive cap_total;
-  let node_bound ~worst ~lat ~sq ~first ~segments =
-    match objective with
-    | `Throughput ->
-      Bounds.partial_throughput_bound ctx ~worst_cycles:worst ~first ~segments
-    | `Latency ->
-      -.Bounds.partial_latency_bound ctx ~latency_cycles:lat ~sum_sqrt_macs:sq
-          ~first
-  in
-  let heap =
-    Util.Heap.create ~cmp:(fun a b ->
-        match Float.compare b.nb_bound a.nb_bound with
-        | 0 -> compare a.nb_rank b.nb_rank
-        | c -> c)
-  in
-  let best = ref None in
-  let evaluated = ref 0 and pruned = ref 0 and nodes = ref 0 in
-  let cur () = match !best with Some (_, s, _) -> s | None -> neg_infinity in
-  (* A subtree is dead when it cannot beat the incumbent even on the
-     tie-break: its bound is strictly below, or exactly at the
-     incumbent score with every rank in the subtree after the
-     incumbent's (an equal-score leaf there loses the earlier-rank
-     tie).  Admissible bounds make both cases exact, so pruning never
-     changes the winner. *)
-  let dead node =
-    match !best with
-    | None -> false
-    | Some (_, s, r) ->
-      node.nb_bound < s || (node.nb_bound = s && node.nb_rank > r)
-  in
-  let consider node =
-    if prune && dead node then pruned := !pruned + node.nb_count
-    else Util.Heap.push heap node
-  in
-  let rank = ref 0 in
-  for f = 1 to min (ces - 1) (n - 1) do
-    let s = ces - f in
-    if n - f >= s then begin
-      let raw = Space.completions ~num_layers:n ~first:f ~segments:s in
-      let count =
-        if !rank >= cap_total then 0 else min raw (cap_total - !rank)
-      in
-      if count > 0 then begin
-        let hf = Bounds.head_ii_floor ctx ~f in
-        let sq =
-          sqrt (float_of_int (Cnn.Table.macs_range table ~first:0 ~last:(f - 1)))
-        in
-        consider
-          {
-            nb_bound = node_bound ~worst:hf ~lat:hf ~sq ~first:f ~segments:s;
-            nb_rank = !rank;
-            nb_count = count;
-            nb_f = f;
-            nb_rev = [];
-            nb_next = f;
-            nb_segments = s;
-            nb_worst = hf;
-            nb_lat = hf;
-            nb_sq = sq;
-          }
-      end;
-      rank := sat_add !rank raw
-    end
-  done;
-  let expand node =
-    let r = node.nb_next and m = node.nb_segments in
-    let child_rank = ref node.nb_rank in
-    (* Children in boundary order keep ranks equal to enumeration
-       indices; later siblings only have larger ranks, so the cap cuts
-       a suffix of them. *)
-    (try
-       for bnd = r + 1 to n - m + 1 do
-         if !child_rank >= cap_total then raise Exit;
-         let raw =
-           Space.completions ~num_layers:n ~first:bnd ~segments:(m - 1)
-         in
-         let count = min raw (cap_total - !child_rank) in
-         if count > 0 then begin
-           let sf = Bounds.segment_ii_floor ctx ~first:r ~last:(bnd - 1) in
-           let worst = Float.max node.nb_worst sf in
-           let lat = node.nb_lat +. sf in
-           let sq =
-             node.nb_sq
-             +. sqrt
-                  (float_of_int
-                     (Cnn.Table.macs_range table ~first:r ~last:(bnd - 1)))
-           in
-           consider
-             {
-               nb_bound =
-                 node_bound ~worst ~lat ~sq ~first:bnd ~segments:(m - 1);
-               nb_rank = !child_rank;
-               nb_count = count;
-               nb_f = node.nb_f;
-               nb_rev = bnd :: node.nb_rev;
-               nb_next = bnd;
-               nb_segments = m - 1;
-               nb_worst = worst;
-               nb_lat = lat;
-               nb_sq = sq;
-             }
-         end;
-         child_rank := sat_add !child_rank raw
-       done
-     with Exit -> ())
-  in
-  let rec drain () =
-    match Util.Heap.pop heap with
-    | None -> ()
-    | Some node ->
-      incr nodes;
-      if prune && dead node then begin
-        (* The heap pops bounds in nonincreasing order (rank-ascending
-           within a bound): every queued subtree is either strictly
-           below the incumbent or an equal-bound later-rank tie loser.
-           Flush and finish. *)
-        pruned := !pruned + node.nb_count;
-        let rec flush () =
-          match Util.Heap.pop heap with
-          | None -> ()
-          | Some nd ->
-            pruned := !pruned + nd.nb_count;
-            flush ()
-        in
-        flush ()
-      end
-      else begin
-        (if node.nb_segments = 1 then begin
-           (* The last segment is forced: the node IS a complete spec. *)
-           incr evaluated;
-           let spec =
-             {
-               Arch.Custom.pipelined_layers = node.nb_f;
-               tail_boundaries = List.rev node.nb_rev;
-             }
-           in
-           let m =
-             Mccm.Eval_session.metrics ~store_arch:false session
-               (Arch.Custom.arch_of_spec model spec)
-           in
-           let s = score m in
-           let c = cur () in
-           let better =
-             s > c
-             || s = c && s > neg_infinity
-                &&
-                match !best with
-                | Some (_, _, r) -> node.nb_rank < r
-                | None -> false
-           in
-           if better then
-             best := Some ({ Explore.spec; metrics = m }, s, node.nb_rank)
-         end
-         else expand node);
-        drain ()
-      end
-  in
-  drain ();
-  Mccm_obs.Metric.add c_evaluated !evaluated;
-  Mccm_obs.Metric.add c_pruned !pruned;
-  Mccm_obs.Metric.add c_nodes !nodes;
-  (match !best with
-  | Some (_, s, _) when s > neg_infinity ->
-    Mccm_obs.Metric.update_max g_best_objective s
-  | _ -> ());
-  ( Option.map (fun (e, _, _) -> e) !best,
-    {
-      enumerated = cap_total;
-      evaluated = !evaluated;
-      pruned = !pruned;
-      nodes = !nodes;
-      domains_used = 1;
-    } )
+(* The best design so far, its score and its enumeration rank. *)
+type incumbent = { design : Explore.evaluated; score : float; rank : int }
 
-(* Chunked scan over the flat spec rows (the multi-domain path, and
-   the pruning-off reference). *)
-let scan_best ~max_specs ~session ~table ~domains ~clamp ~pool ~prune ~score
-    ~objective ~ces model board =
-  let width = Space.Flat.width ~ces in
-  let buf =
-    Space.Flat.enumerate ~num_layers:(Cnn.Model.num_layers model) ~ces
-      ~max_specs
-  in
-  let n = Space.Flat.count buf ~width in
-  Mccm_obs.Metric.add c_exhaustive n;
-  let b = Bounds.create table board in
-  (* Hoisting the per-CE-count ctx takes the memo mutex out of the hot
-     loop, and the flat bounds walk each row in place: a pruned
-     candidate costs no allocation at all — rows are decoded to a spec
-     only when they survive the bound and must be evaluated. *)
-  let ctx = if prune then Some (Bounds.context b ~ces) else None in
-  let bound =
-    match (objective, ctx) with
-    | _, None -> fun _ -> infinity
-    | `Throughput, Some cx ->
-      fun i -> Bounds.throughput_upper_bound_flat cx buf ~width i
-    | `Latency, Some cx ->
-      fun i -> -.(Bounds.latency_lower_bound_flat cx buf ~width i)
-  in
-  (* Scan a slice keeping a local incumbent (first strict maximum, like
-     the sequential scan).  A spec is skipped when its admissible bound
-     cannot strictly beat the incumbent; since every element of a chunk
-     follows its own incumbent in global enumeration order, merging the
-     chunk bests in chunk order on strict improvement reproduces the
-     sequential unpruned scan's answer exactly — for any chunk count. *)
-  let scan ~session ~lo ~hi =
-    let best = ref None in
-    let evaluated = ref 0 and pruned = ref 0 in
-    for i = lo to hi - 1 do
-      let cur =
-        match !best with Some (_, s) -> s | None -> neg_infinity
-      in
-      if prune && bound i <= cur then incr pruned
-      else begin
-        incr evaluated;
-        let spec = Space.Flat.decode buf ~width i in
-        let m =
-          Mccm.Eval_session.metrics ~store_arch:false session
-            (Arch.Custom.arch_of_spec model spec)
-        in
-        let s = score m in
-        if s > cur then best := Some ({ Explore.spec; metrics = m }, s)
-      end
-    done;
-    (!best, !evaluated, !pruned)
-  in
-  let crew_size = ref 1 in
-  let chunks =
-    Crew.with_crew ?pool ?clamp ~domains session (fun crew ->
-        crew_size := Crew.size crew;
-        Crew.warmup crew (fun () ->
-            warm_strided ~session ~buf ~width ~n model);
-        Crew.map crew ~n scan)
-  in
-  let best, evaluated, pruned =
-    List.fold_left
-      (fun (best, ev, pr) (b, e, p) ->
-        let best =
-          match (best, b) with
-          | None, b -> b
-          | Some _, None -> best
-          | Some (_, sb), Some (_, s) when s > sb -> b
-          | Some _, Some _ -> best
-        in
-        (best, ev + e, pr + p))
-      (None, 0, 0) chunks
-  in
-  Mccm_obs.Metric.add c_evaluated evaluated;
-  Mccm_obs.Metric.add c_pruned pruned;
-  (match best with
-  | Some (_, s) when s > neg_infinity ->
-    Mccm_obs.Metric.update_max g_best_objective s
-  | _ -> ());
-  ( Option.map fst best,
-    { enumerated = n; evaluated; pruned; nodes = 0; domains_used = !crew_size }
-  )
+(* The search's total order: higher score, then earlier rank. *)
+let beats a b = a.score > b.score || (a.score = b.score && a.rank < b.rank)
 
+let better a b =
+  match (a, b) with
+  | None, x | x, None -> x
+  | Some x, Some y -> if beats y x then b else a
+
+(* One exhaustive search, visiting specs in admissible-bound order.
+   Every row of the flat enumeration gets its bound once; rows are then
+   visited by (bound descending, rank ascending).  A row whose bound is
+   strictly below the incumbent's score cannot win, and neither can any
+   row after it, so the visit stops there; a row whose bound only ties
+   the incumbent can at best tie it, which loses at a later rank, so it
+   is skipped.  Acceptance on (score, rank) makes the winner the first
+   strict maximum of enumeration order, whatever is pruned.
+
+   With more than one worker, the order is cut into fixed-length rounds
+   of one chunk per worker.  Each chunk starts from the round-start
+   incumbent and keeps its own, so its output depends only on its rows;
+   the round's chunk winners merge by (score, rank) into the next
+   round's incumbent.  Without pruning every bound is [infinity] and
+   the order stays enumeration order. *)
 let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
-    ?(prune = true) ?(strategy = `Auto) ~objective ~ces model board =
+    ?(prune = true) ~objective ~ces model board =
   Mccm_obs.span ~cat:"dse" "dse.exhaustive_best" @@ fun () ->
   let session = session_or_fresh session model board in
-  let table = Mccm.Eval_session.table session in
   let score m =
     if not m.Mccm.Metrics.feasible then neg_infinity
     else
@@ -425,18 +141,98 @@ let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
       | `Throughput -> m.Mccm.Metrics.throughput_ips
       | `Latency -> -.m.Mccm.Metrics.latency_s
   in
-  let use_best_first =
-    match strategy with
-    | `Best_first -> true
-    | `Scan -> false
-    | `Auto -> prune && domains = 1 && Option.is_none pool
+  let width = Space.Flat.width ~ces in
+  let buf =
+    Space.Flat.enumerate ~num_layers:(Cnn.Model.num_layers model) ~ces
+      ~max_specs
   in
-  if use_best_first then
-    best_first ~max_specs ~session ~table ~prune ~score ~objective ~ces model
-      board
-  else
-    scan_best ~max_specs ~session ~table ~domains ~clamp ~pool ~prune ~score
-      ~objective ~ces model board
+  let n = Space.Flat.count buf ~width in
+  Mccm_obs.Metric.add c_exhaustive n;
+  let bound = Array.make n infinity in
+  let order = Array.init n Fun.id in
+  let visit start ~session ~lo ~hi =
+    let best = ref start and evaluated = ref 0 and pruned = ref 0 in
+    let rec go p =
+      if p < hi then begin
+        let r = order.(p) in
+        match !best with
+        | Some inc when bound.(r) < inc.score ->
+          pruned := !pruned + (hi - p)
+        | Some inc when bound.(r) = inc.score && r > inc.rank ->
+          incr pruned;
+          go (p + 1)
+        | _ ->
+          incr evaluated;
+          let spec = Space.Flat.decode buf ~width r in
+          let m =
+            Mccm.Eval_session.metrics ~store_arch:false session
+              (Arch.Custom.arch_of_spec model spec)
+          in
+          let s = score m in
+          if s > neg_infinity then
+            best :=
+              better !best
+                (Some
+                   { design = { Explore.spec; metrics = m }; score = s;
+                     rank = r });
+          go (p + 1)
+      end
+    in
+    go lo;
+    (!best, !evaluated, !pruned)
+  in
+  Crew.with_crew ?pool ?clamp ~domains session @@ fun crew ->
+  Crew.warmup crew (fun () -> warm_strided ~session ~buf ~width ~n model);
+  if prune then begin
+    (* The flat bounds walk each row in place: a pruned row is never
+       decoded. *)
+    let ctx =
+      Bounds.context
+        (Bounds.create (Mccm.Eval_session.table session) board)
+        ~ces
+    in
+    let row_bound =
+      match objective with
+      | `Throughput -> Bounds.throughput_upper_bound_flat ctx buf ~width
+      | `Latency -> fun i -> -.Bounds.latency_lower_bound_flat ctx buf ~width i
+    in
+    ignore
+      (Crew.map crew ~n (fun ~session:_ ~lo ~hi ->
+           for r = lo to hi - 1 do
+             bound.(r) <- row_bound r
+           done));
+    (* Stable, so equal bounds keep rank order. *)
+    Array.stable_sort (fun a b -> Float.compare bound.(b) bound.(a)) order
+  end;
+  let len = round_length ~crew_size:(Crew.size crew) in
+  let rec rounds pos best evaluated pruned =
+    if pos >= n then (best, evaluated, pruned)
+    else
+      match best with
+      | Some inc when bound.(order.(pos)) < inc.score ->
+        (best, evaluated, pruned + (n - pos))
+      | _ ->
+        let m = min len (n - pos) in
+        let chunks =
+          Crew.map crew ~chunk_hint:round_chunk ~n:m (fun ~session ~lo ~hi ->
+              visit best ~session ~lo:(pos + lo) ~hi:(pos + hi))
+        in
+        let best, evaluated, pruned =
+          List.fold_left
+            (fun (b, e, p) (b', e', p') -> (better b b', e + e', p + p'))
+            (best, evaluated, pruned) chunks
+        in
+        rounds (pos + m) best evaluated pruned
+  in
+  let best, evaluated, pruned = rounds 0 None 0 0 in
+  Mccm_obs.Metric.add c_evaluated evaluated;
+  Mccm_obs.Metric.add c_pruned pruned;
+  Option.iter
+    (fun inc -> Mccm_obs.Metric.update_max g_best_objective inc.score)
+    best;
+  ( Option.map (fun inc -> inc.design) best,
+    { enumerated = n; evaluated; pruned; nodes = 0;
+      domains_used = Crew.size crew } )
 
 type step = {
   moved : string;

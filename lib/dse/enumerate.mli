@@ -41,40 +41,20 @@ val exhaustive :
 
 type objective = [ `Throughput | `Latency ]
 
-type strategy = [ `Auto | `Best_first | `Scan ]
-(** How {!exhaustive_best} walks the space.  [`Scan] materialises the
-    spec list and scans it in deterministic contiguous chunks (the only
-    strategy that uses [domains]).  [`Best_first] runs the sequential
-    branch-and-bound: partial specs ordered by their composed optimistic
-    bound ({!Bounds.partial_throughput_bound} /
-    {!Bounds.partial_latency_bound}), so hopeless subtrees die before
-    their specs are ever materialised.  [`Auto] (the default) picks
-    [`Best_first] when pruning is on and a single domain was requested,
-    [`Scan] otherwise.  All strategies return the same winner. *)
-
 type search_stats = {
   enumerated : int;      (** specs in scope (after [max_specs]) *)
   evaluated : int;       (** specs actually run through the model *)
   pruned : int;          (** specs skipped by the admissible bound *)
-  nodes : int;           (** branch-and-bound nodes popped (0 for scans) *)
+  nodes : int;
+      (** always 0: kept so existing readers of the field and of the CLI's
+          [B&B node(s)] column still parse *)
   domains_used : int;
 }
 
-type bounds = Bounds.t
-(** Precomputed bound context for one (model table, board) pair — see
-    {!Bounds}.  Kept as an alias (with the constructors below) for the
-    callers of the pre-[Bounds] API. *)
-
-val bounds : Cnn.Table.t -> Platform.Board.t -> bounds
-(** [Bounds.create]. *)
-
-val throughput_upper_bound : bounds -> Arch.Custom.spec -> float
-(** [Bounds.throughput_upper_bound]: admissible (never below any
-    achievable value) throughput bound for a custom spec, images/s. *)
-
-val latency_lower_bound : bounds -> Arch.Custom.spec -> float
-(** [Bounds.latency_lower_bound]: admissible (never above any
-    achievable value) latency bound, seconds. *)
+val round_length : crew_size:int -> int
+(** Rows of the bound order one parallel round of {!exhaustive_best}
+    covers on a crew of [crew_size] workers: one 256-row chunk per
+    worker, or the whole order ([max_int]) when [crew_size <= 1]. *)
 
 val exhaustive_best :
   ?max_specs:int ->
@@ -83,7 +63,6 @@ val exhaustive_best :
   ?clamp:bool ->
   ?pool:Util.Parallel.Pool.t ->
   ?prune:bool ->
-  ?strategy:strategy ->
   objective:objective ->
   ces:int ->
   Cnn.Model.t ->
@@ -92,16 +71,25 @@ val exhaustive_best :
 (** [exhaustive_best ~objective ~ces model board] returns the first
     feasible spec (in enumeration order) attaining the best objective —
     highest throughput or lowest latency — plus search statistics.
-    [prune] (default true) skips specs (and, under [`Best_first], whole
-    subtrees of partial specs) whose admissible bound cannot strictly
-    beat the running incumbent; because the bounds are admissible and
-    acceptance requires strict improvement (ties broken towards the
-    earlier enumeration rank), the returned design is bit-identical
-    across [prune], [strategy], [domains] and [pool] choices.  The
-    [`Scan] path enumerates into a {!Space.Flat} buffer, prunes with
-    the allocation-free flat bounds (ctx hoisted out of the loop) and
-    decodes only surviving rows; with [pool] it runs on the caller's
-    persistent domain pool ([`Auto] then picks [`Scan]). *)
+
+    Specs are enumerated into a {!Space.Flat} buffer, and each row gets
+    its admissible score bound once ({!Bounds.throughput_upper_bound_flat},
+    or the negated {!Bounds.latency_lower_bound_flat}).  Rows are then
+    visited by bound descending, rank ascending.  The visit skips a row
+    whose bound ties the incumbent at a later rank, and stops at the
+    first bound strictly below the incumbent; a spec is accepted on a
+    higher score, or an equal score at an earlier rank.  Because the
+    bounds are admissible, the returned design is bit-identical across
+    [prune], [domains] and [pool].  With [~prune:false] (default true)
+    every row is evaluated, in enumeration order.
+
+    On a crew of more than one worker ([domains], clamped as in
+    {!exhaustive}, or [pool]) the order is visited in rounds of
+    {!round_length} rows.  Every chunk of a round starts from the
+    round-start incumbent, and the chunk winners merge by (score,
+    rank).  One worker evaluates no spec whose bound is below the
+    winner's score; a crew evaluates at most one round of them.
+    [nodes] is always 0. *)
 
 type step = {
   moved : string;                 (** human-readable description *)
@@ -141,6 +129,6 @@ val local_search :
     whole climb — domains spawn and sessions fork once per search, not
     once per step; [pool] reuses a caller-owned domain pool across
     searches.  [bound] (an admissible upper bound on the objective's
-    score, e.g. {!throughput_upper_bound} partially applied) skips
+    score, e.g. {!Bounds.throughput_upper_bound} partially applied) skips
     neighbours that cannot strictly beat the current spec.  None of
     these change the trajectory. *)

@@ -11,8 +11,9 @@ let float_binomial n k =
   end
 
 (* Binomial in saturating integers: exact while it fits, [max_int]
-   beyond.  The branch-and-bound enumerator only ever compares these
-   counts against a spec cap, so saturation is harmless there. *)
+   beyond.  Callers only ever compare these counts against a spec cap
+   ([designs_capped] sizes the flat enumeration), so saturation is
+   harmless there. *)
 let binomial_capped n k =
   if k < 0 || k > n then 0
   else begin
@@ -33,6 +34,8 @@ let binomial_capped n k =
     !acc
   end
 
+(* Ways to split layers [first ..] into exactly [segments] non-empty
+   single-CE segments. *)
 let completions ~num_layers ~first ~segments =
   if segments < 1 || first < 0 || first >= num_layers then 0
   else binomial_capped (num_layers - first - 1) (segments - 1)

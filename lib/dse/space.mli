@@ -9,18 +9,6 @@
     designs for Xception (the paper quotes roughly 97.1 billion for CE
     counts 2 to 11). *)
 
-val completions : num_layers:int -> first:int -> segments:int -> int
-(** [completions ~num_layers ~first ~segments] counts the ways to split
-    layers [first .. num_layers - 1] into exactly [segments] non-empty
-    single-CE segments: [C(num_layers - first - 1, segments - 1)],
-    saturating at [max_int] (callers compare against a spec cap, so the
-    saturated value behaves like "more than any cap").  This is the
-    subtree-size arithmetic of the branch-and-bound enumerator: a
-    partial spec whose fixed prefix ends at [first] with [segments]
-    tail segments still open roots exactly this many complete specs,
-    contiguous in lexicographic enumeration order.  Returns 0 when the
-    range is empty or [segments < 1]. *)
-
 val designs_for_ce_count : num_layers:int -> ces:int -> float
 (** [designs_for_ce_count ~num_layers ~ces] counts the custom designs
     using exactly [ces] engines: sum over [f >= 1, s >= 1, f + s = ces]

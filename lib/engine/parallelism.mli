@@ -14,7 +14,7 @@ val dim_to_string : dim -> string
 (** Short printable name. *)
 
 type t
-(** A parallelism strategy: a positive factor per dimension (1 when the
+(** A parallelism strategy, a positive factor per dimension (1 when the
     dimension is not parallelised). *)
 
 val scalar : t

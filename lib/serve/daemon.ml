@@ -856,6 +856,7 @@ let run_enumerate session model board ~ces ~objective ~max_specs ~prune =
       ("enumerated", Json.Num (float_of_int stats.Dse.Enumerate.enumerated));
       ("evaluated", Json.Num (float_of_int stats.Dse.Enumerate.evaluated));
       ("pruned", Json.Num (float_of_int stats.Dse.Enumerate.pruned));
+      (* Always 0 (docs/FORMATS.md); kept so existing clients parse. *)
       ("nodes", Json.Num (float_of_int stats.Dse.Enumerate.nodes));
     ]
 

@@ -140,26 +140,7 @@ let prop_monotone_core c =
                  ~last))
     (tail_ranges ~num_layers:n c.spec)
 
-(* 6. Suffix composition: the boundary-free suffix floors never exceed
-   what the spec's own concrete split pays — the slowest-segment floor
-   bounds the max, the summed-latency floor bounds the sum. *)
-let prop_suffix_composition c =
-  let t = bounds_of c in
-  let ctx = Dse.Bounds.context t ~ces:(Arch.Custom.total_ces c.spec) in
-  let n = Cnn.Model.num_layers c.model in
-  let tails = tail_ranges ~num_layers:n c.spec in
-  let first = c.spec.Arch.Custom.pipelined_layers in
-  let seg_floors =
-    List.map
-      (fun (first, last) -> Dse.Bounds.segment_ii_floor ctx ~first ~last)
-      tails
-  in
-  Dse.Bounds.suffix_ii_floor ctx ~first ~segments:(List.length tails)
-  <= List.fold_left Float.max 0.0 seg_floors
-  && Dse.Bounds.suffix_latency_floor ctx ~first
-     <= List.fold_left ( +. ) 0.0 seg_floors
-
-(* 7. The global mediant floor holds for the whole design: no schedule
+(* 6. The global mediant floor holds for the whole design: no schedule
    beats work conservation over the board's PEs. *)
 let prop_global_floor c =
   let e = exact c in
@@ -202,7 +183,6 @@ let test_corpus_replay () =
       checkp "split floors" prop_split_floors;
       checkp "block floors" prop_block_floors;
       checkp "monotone core" prop_monotone_core;
-      checkp "suffix composition" prop_suffix_composition;
       checkp "global floor" prop_global_floor)
     seeds
 
@@ -224,7 +204,6 @@ let () =
         [
           run_prop "monotone core: ordered and monotone" gen_case
             prop_monotone_core;
-          run_prop "suffix floors compose" gen_case prop_suffix_composition;
         ] );
       ( "corpus",
         [ Alcotest.test_case "replay" `Quick test_corpus_replay ] );

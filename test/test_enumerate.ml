@@ -177,7 +177,7 @@ let test_exhaustive_session_invisible () =
   in
   checkb "identical evaluations" true (run true = run false)
 
-(* ------------------------------------------- best-first bit-exactness *)
+(* ------------------------------------------ exhaustive-best exactness *)
 
 (* A 10-layer chain of identical layers: a dense plateau of equal-score
    designs, the hardest case for tie-breaking determinism. *)
@@ -204,45 +204,54 @@ let winner_testable =
   in
   Alcotest.testable pp ( = )
 
-(* Every (strategy, prune, domains) combination must return the winner
-   of the unpruned reference scan — same spec, bit-identical metrics. *)
-let test_best_first_bit_exact () =
+let score_of objective (m : Mccm.Metrics.t) =
+  match objective with
+  | `Throughput -> m.Mccm.Metrics.throughput_ips
+  | `Latency -> -.m.Mccm.Metrics.latency_s
+
+(* The reference winner, independent of the search under test: the
+   first strict maximum of the plain exhaustive evaluation, folded in
+   enumeration order. *)
+let reference_winner ~max_specs ~objective ~ces model =
+  List.fold_left
+    (fun acc (e : Dse.Explore.evaluated) ->
+      match acc with
+      | Some (b : Dse.Explore.evaluated)
+        when score_of objective b.Dse.Explore.metrics
+             >= score_of objective e.Dse.Explore.metrics ->
+        acc
+      | _ -> Some e)
+    None
+    (Dse.Enumerate.exhaustive ~max_specs ~ces model board)
+
+let workloads =
+  [
+    (mobv2, 3, `Throughput, 800);
+    (mobv2, 4, `Throughput, 600);
+    (mobv2, 3, `Latency, 800);
+    (chain10, 4, `Throughput, 10000);
+    (chain10, 4, `Latency, 10000);
+  ]
+
+(* Every (prune, domains) combination must return the reference winner
+   — same spec, bit-identical metrics. *)
+let test_bit_exact () =
   List.iter
     (fun (model, ces, objective, max_specs) ->
-      let reference, _ =
-        Dse.Enumerate.exhaustive_best ~max_specs ~prune:false ~strategy:`Scan
-          ~objective ~ces model board
-      in
+      let reference = reference_winner ~max_specs ~objective ~ces model in
       List.iter
-        (fun (label, strategy, prune, domains) ->
+        (fun (prune, domains) ->
+          let label = Printf.sprintf "prune=%b domains=%d" prune domains in
           let got, stats =
-            Dse.Enumerate.exhaustive_best ~max_specs ~prune ~strategy ~domains
+            Dse.Enumerate.exhaustive_best ~max_specs ~prune ~domains
               ~clamp:false ~objective ~ces model board
           in
           Alcotest.check winner_testable label reference got;
           check (label ^ ": specs accounted for")
             stats.Dse.Enumerate.enumerated
             (stats.Dse.Enumerate.evaluated + stats.Dse.Enumerate.pruned))
-        [
-          ("best-first pruned", `Best_first, true, 1);
-          ("best-first unpruned", `Best_first, false, 1);
-          ("best-first pruned, domains ignored", `Best_first, true, 4);
-          ("scan pruned", `Scan, true, 1);
-          ("scan unpruned", `Scan, false, 1);
-          ("scan pruned 2 domains", `Scan, true, 2);
-          ("scan pruned 4 domains", `Scan, true, 4);
-          ("scan unpruned 2 domains", `Scan, false, 2);
-          ("scan unpruned 4 domains", `Scan, false, 4);
-          ("auto", `Auto, true, 1);
-          ("auto 4 domains", `Auto, true, 4);
-        ])
-    [
-      (mobv2, 3, `Throughput, 800);
-      (mobv2, 4, `Throughput, 600);
-      (mobv2, 3, `Latency, 800);
-      (chain10, 4, `Throughput, 10000);
-      (chain10, 4, `Latency, 10000);
-    ]
+        [ (true, 1); (true, 2); (true, 4); (false, 1); (false, 2); (false, 4) ])
+    workloads
 
 (* The pooled path must reproduce the reference winner too.  One shared
    pool serves every configuration and workload back-to-back, so
@@ -254,15 +263,13 @@ let test_pooled_bit_exact () =
   @@ fun () ->
   List.iter
     (fun (model, ces, objective, max_specs) ->
-      let reference, _ =
-        Dse.Enumerate.exhaustive_best ~max_specs ~prune:false ~strategy:`Scan
-          ~objective ~ces model board
-      in
+      let reference = reference_winner ~max_specs ~objective ~ces model in
       List.iter
-        (fun (label, strategy, prune) ->
+        (fun prune ->
+          let label = Printf.sprintf "pooled prune=%b" prune in
           let got, stats =
-            Dse.Enumerate.exhaustive_best ~max_specs ~prune ~strategy ~pool
-              ~objective ~ces model board
+            Dse.Enumerate.exhaustive_best ~max_specs ~prune ~pool ~objective
+              ~ces model board
           in
           Alcotest.check winner_testable label reference got;
           check (label ^ ": ran on the pool") 4
@@ -270,70 +277,116 @@ let test_pooled_bit_exact () =
           check (label ^ ": specs accounted for")
             stats.Dse.Enumerate.enumerated
             (stats.Dse.Enumerate.evaluated + stats.Dse.Enumerate.pruned))
-        [
-          ("pooled scan pruned", `Scan, true);
-          ("pooled scan unpruned", `Scan, false);
-          ("pooled auto picks scan", `Auto, true);
-        ])
-    [
-      (mobv2, 3, `Throughput, 800);
-      (mobv2, 4, `Throughput, 600);
-      (mobv2, 3, `Latency, 800);
-      (chain10, 4, `Throughput, 10000);
-      (chain10, 4, `Latency, 10000);
-    ]
+        [ true; false ])
+    workloads
 
 (* On the uniform chain nearly every design ties: the returned winner
-   must still be the lexicographically first one. *)
+   must still be the lexicographically first one, on one domain and on
+   four. *)
 let test_tie_breaking_lex_first () =
-  let reference, _ =
-    Dse.Enumerate.exhaustive_best ~max_specs:10000 ~prune:false
-      ~strategy:`Scan ~objective:`Throughput ~ces:3 chain10 board
+  let reference =
+    reference_winner ~max_specs:10000 ~objective:`Throughput ~ces:3 chain10
   in
-  let bnb, _ =
-    Dse.Enumerate.exhaustive_best ~max_specs:10000 ~prune:true
-      ~strategy:`Best_first ~objective:`Throughput ~ces:3 chain10 board
-  in
-  Alcotest.check winner_testable "tie goes to the lex-first spec" reference
-    bnb;
-  (match reference with
+  List.iter
+    (fun domains ->
+      let got, _ =
+        Dse.Enumerate.exhaustive_best ~max_specs:10000 ~domains ~clamp:false
+          ~objective:`Throughput ~ces:3 chain10 board
+      in
+      Alcotest.check winner_testable
+        (Printf.sprintf "tie goes to the lex-first spec (%d domains)" domains)
+        reference got)
+    [ 1; 4 ];
+  match reference with
   | Some e ->
     (* The lex-first spec of ces=3 is f=1 with the earliest boundary. *)
     check "lex-first pipelined depth" 1
       e.Dse.Explore.spec.Arch.Custom.pipelined_layers
-  | None -> Alcotest.fail "no winner");
-  ()
+  | None -> Alcotest.fail "no winner"
 
-(* Branch-and-bound must actually pay off on a deep ResNet workload —
+(* Pruning must actually pay off on a deep ResNet workload —
    homogeneous mid-network layers make the floors tight: real pruning,
    winner preserved.  (On depthwise networks like MobileNetV2 the
    shared-engine parallelism coupling keeps per-layer floors loose and
-   pruning near zero; that is expected, not a bug.) *)
-let test_best_first_prunes () =
+   pruning near zero; that is expected, not a bug.)  The evaluated
+   count is pinned: a looser bound or a worse visit order shows up
+   here first. *)
+let test_pruning_pays () =
   let res152 = Cnn.Model_zoo.resnet152 () in
-  let reference, _ =
-    Dse.Enumerate.exhaustive_best ~max_specs:30000 ~prune:false
-      ~strategy:`Scan ~objective:`Throughput ~ces:10 res152 board
+  let reference =
+    reference_winner ~max_specs:30000 ~objective:`Throughput ~ces:10 res152
   in
   let got, stats =
-    Dse.Enumerate.exhaustive_best ~max_specs:30000 ~prune:true
-      ~strategy:`Best_first ~objective:`Throughput ~ces:10 res152 board
+    Dse.Enumerate.exhaustive_best ~max_specs:30000 ~objective:`Throughput
+      ~ces:10 res152 board
   in
   Alcotest.check winner_testable "winner identical under pruning" reference
     got;
-  checkb "pruned something" true (stats.Dse.Enumerate.pruned > 0);
-  checkb "visited nodes" true (stats.Dse.Enumerate.nodes > 0);
-  checkb "fewer evaluations than specs" true
-    (stats.Dse.Enumerate.evaluated < stats.Dse.Enumerate.enumerated);
+  check "evaluated" 13473 stats.Dse.Enumerate.evaluated;
   check "accounting" stats.Dse.Enumerate.enumerated
     (stats.Dse.Enumerate.evaluated + stats.Dse.Enumerate.pruned)
 
-let test_scan_reports_no_nodes () =
-  let _, stats =
-    Dse.Enumerate.exhaustive_best ~max_specs:100 ~prune:true ~strategy:`Scan
-      ~objective:`Throughput ~ces:3 mobv2 board
+let test_reports_no_nodes () =
+  List.iter
+    (fun domains ->
+      let _, stats =
+        Dse.Enumerate.exhaustive_best ~max_specs:100 ~domains ~clamp:false
+          ~objective:`Throughput ~ces:3 mobv2 board
+      in
+      check "no B&B nodes" 0 stats.Dse.Enumerate.nodes)
+    [ 1; 2 ]
+
+(* How much the bound-ordered visit evaluates, against the bounds
+   themselves.  With winner score [s*], one domain must evaluate every
+   spec whose bound exceeds [s*] (none of them can be skipped) and
+   nothing whose bound is below it (the visit stops there);
+   [k] domains may overshoot by at most one round.  (The ResNets are
+   drawn because their bounds prune; MobileNetV2's barely do.) *)
+let prop_evaluated_between_bound_counts =
+  let res152 = Cnn.Model_zoo.resnet152 () and res50 = Cnn.Model_zoo.resnet50 () in
+  let gen =
+    QCheck2.Gen.(
+      quad
+        (oneofl [ ("Res152", res152); ("Res50", res50) ])
+        (int_range 4 10) (int_range 300 2500)
+        (oneofl [ `Throughput; `Latency ]))
   in
-  check "scan has no B&B nodes" 0 stats.Dse.Enumerate.nodes
+  let print ((name, _), ces, max_specs, objective) =
+    Printf.sprintf "%s ces=%d max_specs=%d %s" name ces max_specs
+      (match objective with `Throughput -> "throughput" | `Latency -> "latency")
+  in
+  QCheck2.Test.make ~count:8 ~name:"evaluated between bound counts"
+    ~print gen
+    (fun ((_, model), ces, max_specs, objective) ->
+      let b = Dse.Bounds.create (Cnn.Table.of_model model) board in
+      let bound spec =
+        match objective with
+        | `Throughput -> Dse.Bounds.throughput_upper_bound b spec
+        | `Latency -> -.Dse.Bounds.latency_lower_bound b spec
+      in
+      let bounds =
+        List.map bound
+          (Dse.Enumerate.enumerate_specs
+             ~num_layers:(Cnn.Model.num_layers model) ~ces ~max_specs)
+      in
+      let run domains =
+        Dse.Enumerate.exhaustive_best ~max_specs ~domains ~clamp:false
+          ~objective ~ces model board
+      in
+      let winner, one = run 1 in
+      let s =
+        match winner with
+        | Some e -> score_of objective e.Dse.Explore.metrics
+        | None -> neg_infinity
+      in
+      let count p = List.length (List.filter p bounds) in
+      let above = count (fun x -> x > s) and at_least = count (fun x -> x >= s) in
+      let k = 2 in
+      let _, many = run k in
+      above <= one.Dse.Enumerate.evaluated
+      && one.Dse.Enumerate.evaluated <= at_least
+      && many.Dse.Enumerate.evaluated
+         <= at_least + Dse.Enumerate.round_length ~crew_size:k)
 
 (* --------------------------------------------------- builder options *)
 
@@ -448,16 +501,18 @@ let () =
         ] );
       ( "best-first",
         [
-          Alcotest.test_case "bit-exact across strategies" `Slow
-            test_best_first_bit_exact;
+          Alcotest.test_case "bit-exact over domains, pruning" `Slow
+            test_bit_exact;
           Alcotest.test_case "pooled path bit-exact" `Quick
             test_pooled_bit_exact;
           Alcotest.test_case "ties break lex-first" `Quick
             test_tie_breaking_lex_first;
           Alcotest.test_case "pruning pays and preserves" `Slow
-            test_best_first_prunes;
+            test_pruning_pays;
           Alcotest.test_case "scan reports no nodes" `Quick
-            test_scan_reports_no_nodes;
+            test_reports_no_nodes;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+            prop_evaluated_between_bound_counts;
         ] );
       ( "builder options",
         [

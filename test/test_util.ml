@@ -381,61 +381,6 @@ let prop_quantile_bounded_monotone =
       && vlo <= vhi
       && Util.Stats.quantile (List.rev l) ~q:lo = vlo)
 
-(* The best-first frontier in Dse.Enumerate leans on the heap popping
-   in exact cmp order; check it against List.sort on arbitrary input,
-   including pushes interleaved with pops. *)
-let prop_heap_pop_sorted =
-  QCheck2.Test.make ~name:"heap pops every element in cmp order"
-    QCheck2.Gen.(list_size (int_range 0 80) (int_bound 1000))
-    (fun l ->
-      let h = Util.Heap.create ~cmp:compare in
-      List.iter (Util.Heap.push h) l;
-      let peek_ok =
-        match (Util.Heap.peek h, l) with
-        | None, [] -> true
-        | Some p, _ -> p = List.fold_left min max_int l
-        | None, _ :: _ -> false
-      in
-      let rec drain acc =
-        match Util.Heap.pop h with
-        | None -> List.rev acc
-        | Some v -> drain (v :: acc)
-      in
-      peek_ok
-      && drain [] = List.sort compare l
-      && Util.Heap.is_empty h
-      && Util.Heap.length h = 0)
-
-let prop_heap_interleaved =
-  QCheck2.Test.make ~name:"heap min invariant under interleaved push/pop"
-    QCheck2.Gen.(list_size (int_range 1 60) (pair bool (int_bound 1000)))
-    (fun ops ->
-      let h = Util.Heap.create ~cmp:compare in
-      let module S = Set.Make (struct
-        type t = int * int
-
-        let compare = compare
-      end) in
-      (* Pair each value with a unique stamp so the reference multiset
-         survives duplicates. *)
-      let stamp = ref 0 in
-      let reference = ref S.empty in
-      List.for_all
-        (fun (is_pop, v) ->
-          if is_pop then (
-            match (Util.Heap.pop h, S.min_elt_opt !reference) with
-            | None, None -> true
-            | Some x, Some ((m, _) as e) ->
-              reference := S.remove e !reference;
-              x = m
-            | _ -> false)
-          else (
-            incr stamp;
-            Util.Heap.push h v;
-            reference := S.add (v, !stamp) !reference;
-            Util.Heap.length h = S.cardinal !reference))
-        ops)
-
 (* The serve protocol rides on Util.Json, and the daemon's bit-exactness
    contract rides on its float round-trip: print/parse must be the
    identity on every finite double and on arbitrary (escaped) strings. *)
@@ -635,7 +580,7 @@ let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_ceil_div; prop_divisors; prop_partition_cover; prop_prng_distinct;
       prop_quantile_reference; prop_quantile_bounded_monotone;
-      prop_heap_pop_sorted; prop_heap_interleaved; prop_json_roundtrip;
+      prop_json_roundtrip;
       prop_json_pretty_agrees; prop_json_trailing_garbage;
       prop_json_depth_cap; prop_cache_matches_reference ]
 
