@@ -156,6 +156,13 @@ let extents t i =
   (t.ext_f.(i), t.ext_c.(i), t.ext_h.(i), t.ext_w.(i), t.ext_kh.(i),
    t.ext_kw.(i))
 
+let extent_filters t i = t.ext_f.(i)
+let extent_channels t i = t.ext_c.(i)
+let extent_height t i = t.ext_h.(i)
+let extent_width t i = t.ext_w.(i)
+let extent_kernel_h t i = t.ext_kh.(i)
+let extent_kernel_w t i = t.ext_kw.(i)
+
 (* Segment aggregates: O(1) from the precomputed structures.  Integer
    sums are order-independent, so they equal the list folds exactly. *)
 

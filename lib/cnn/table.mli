@@ -56,6 +56,15 @@ val extents : t -> int -> int * int * int * int * int * int
 (** The six Eq.-1 loop extents, in [Parallelism.all_dims] order:
     (filters, channels, height, width, kernel_h, kernel_w). *)
 
+val extent_filters : t -> int -> int
+val extent_channels : t -> int -> int
+val extent_height : t -> int -> int
+val extent_width : t -> int -> int
+val extent_kernel_h : t -> int -> int
+val extent_kernel_w : t -> int -> int
+(** One component of {!extents} each, for per-layer hot loops: reading
+    them allocates nothing, where {!extents} returns a fresh tuple. *)
+
 (** {1 Segment aggregates} — O(1) each. *)
 
 val total_macs : t -> int

@@ -44,32 +44,32 @@ let ideal_cycles ~pes layer =
    precomputed loop extents instead of per-call [Layer.out_shape]
    recomputation.  Integer products agree with [cycles_with_extents]
    exactly (same factors, and machine-int multiplication is
-   order-independent), so results are bit-identical. *)
+   order-independent), so results are bit-identical.  Extents and
+   factors are read one dimension at a time, so a call allocates
+   nothing — the single-CE DP calls this once per layer. *)
 
 let cd = Util.Int_math.ceil_div
 
-let layer_cycles_at t tbl i =
+(* Eq. 1 with the height extent passed in: the layer's own, or the rows
+   of a tile. *)
+let cycles_with_height t tbl i eh =
   let p = t.parallelism in
-  let f d = Parallelism.factor p d in
-  let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents tbl i in
-  cd ef (f Parallelism.Filters)
-  * cd ec (f Parallelism.Channels)
-  * cd eh (f Parallelism.Height)
-  * cd ew (f Parallelism.Width)
-  * cd ekh (f Parallelism.Kernel_h)
-  * cd ekw (f Parallelism.Kernel_w)
+  cd (Cnn.Table.extent_filters tbl i) (Parallelism.factor p Parallelism.Filters)
+  * cd (Cnn.Table.extent_channels tbl i)
+      (Parallelism.factor p Parallelism.Channels)
+  * cd eh (Parallelism.factor p Parallelism.Height)
+  * cd (Cnn.Table.extent_width tbl i) (Parallelism.factor p Parallelism.Width)
+  * cd (Cnn.Table.extent_kernel_h tbl i)
+      (Parallelism.factor p Parallelism.Kernel_h)
+  * cd (Cnn.Table.extent_kernel_w tbl i)
+      (Parallelism.factor p Parallelism.Kernel_w)
+
+let layer_cycles_at t tbl i =
+  cycles_with_height t tbl i (Cnn.Table.extent_height tbl i)
 
 let tile_cycles_at t tbl i ~rows =
-  let rows = max 1 rows in
-  let p = t.parallelism in
-  let f d = Parallelism.factor p d in
-  let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents tbl i in
-  cd ef (f Parallelism.Filters)
-  * cd ec (f Parallelism.Channels)
-  * cd (min rows eh) (f Parallelism.Height)
-  * cd ew (f Parallelism.Width)
-  * cd ekh (f Parallelism.Kernel_h)
-  * cd ekw (f Parallelism.Kernel_w)
+  cycles_with_height t tbl i
+    (Int.min (Int.max 1 rows) (Cnn.Table.extent_height tbl i))
 
 let ideal_cycles_at ~pes tbl i = cd (Cnn.Table.macs tbl i) pes
 

@@ -41,6 +41,13 @@ type t = {
           the exact value the DSE memory floor lower-bounds *)
 }
 
+val boundary_flags :
+  Builder.Buffer_alloc.t -> num_blocks:int -> index:int -> bool * bool
+(** [boundary_flags plan ~num_blocks ~index] is block [index]'s
+    [(input_on_chip, output_on_chip)]: whether its input arrives and its
+    output leaves through an on-chip inter-segment buffer.  The first
+    block's input and the last block's output are always off-chip. *)
+
 val run : ?cache:Seg_cache.t -> table:Cnn.Table.t -> Builder.Build.t -> t
 (** [run ~table built] evaluates a built accelerator analytically,
     reading every per-layer scalar from [table] (a {!Cnn.Table} built

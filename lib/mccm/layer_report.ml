@@ -9,22 +9,10 @@ type row = {
   accesses : Access.t;
 }
 
-let boundary_flags plan ~num_blocks ~index =
-  let on_chip = plan.Builder.Buffer_alloc.inter_seg_on_chip in
-  let input_on_chip = if index = 0 then false else on_chip.(index - 1) in
-  let output_on_chip =
-    if index = num_blocks - 1 then false else on_chip.(index)
-  in
-  (input_on_chip, output_on_chip)
-
 let single_rows (built : Builder.Build.t) ~table ~engine ~plan ~first ~last
     ~input_on_chip ~output_on_chip =
   let model = built.Builder.Build.model in
   let board = built.Builder.Build.board in
-  let r =
-    Single_ce_model.evaluate ~table ~board ~engine ~plan ~first ~last
-      ~input_on_chip ~output_on_chip ()
-  in
   List.map
     (fun (lr : Single_ce_model.layer_result) ->
       let layer = Cnn.Model.layer model lr.Single_ce_model.layer_index in
@@ -38,7 +26,8 @@ let single_rows (built : Builder.Build.t) ~table ~engine ~plan ~first ~last
         utilization = Engine.Ce.utilization engine layer;
         accesses = lr.Single_ce_model.accesses;
       })
-    r.Single_ce_model.layers
+    (Single_ce_model.layers ~table ~board ~engine ~plan ~first ~last
+       ~input_on_chip ~output_on_chip ())
 
 let pipelined_rows (built : Builder.Build.t) ~engines ~plan ~first ~last
     ~input_on_chip ~output_on_chip =
@@ -91,7 +80,7 @@ let of_build (built : Builder.Build.t) =
   List.concat
     (List.init num_blocks (fun index ->
          let input_on_chip, output_on_chip =
-           boundary_flags plan ~num_blocks ~index
+           Evaluate.boundary_flags plan ~num_blocks ~index
          in
          match
            ( built.Builder.Build.blocks.(index),

@@ -11,7 +11,11 @@
     greedily: the evaluator enumerates the legal per-layer buffering
     decisions and charges the cheapest chain (a two-state dynamic
     program), which keeps the modelled traffic monotone in the block's
-    FM capacity. *)
+    FM capacity.
+
+    The DP keeps integer running totals and per-layer backpointers and
+    allocates nothing per layer; {!evaluate} returns scalars only, and
+    the per-layer trace is materialised on demand by {!layers}. *)
 
 type layer_result = {
   layer_index : int;
@@ -22,7 +26,6 @@ type layer_result = {
 }
 
 type result = {
-  layers : layer_result list;
   compute_cycles : int;        (** sum over layers *)
   accesses : Access.t;         (** sum over layers *)
   compute_s : float;
@@ -48,7 +51,8 @@ val evaluate :
     on-chip inter-segment buffer; [output_on_chip] whether its final OFM
     leaves through one.  Boundary FM traffic is charged here (a load when
     the input is off-chip, a store when the output is), so composing
-    blocks sums accesses without double counting. *)
+    blocks sums accesses without double counting.
+    @raise Invalid_argument if [first > last]. *)
 
 val evaluate_with_validity :
   table:Cnn.Table.t ->
@@ -70,3 +74,20 @@ val evaluate_with_validity :
     every branch taken and quotient computed is pinned).  {!Seg_cache}
     uses this so the byte-granular churn of the planner's proportional
     grants does not defeat segment-level memoization. *)
+
+val layers :
+  table:Cnn.Table.t ->
+  board:Platform.Board.t ->
+  engine:Engine.Ce.t ->
+  plan:Builder.Buffer_alloc.single_plan ->
+  first:int ->
+  last:int ->
+  input_on_chip:bool ->
+  output_on_chip:bool ->
+  unit ->
+  layer_result list
+(** The per-layer trace of {!evaluate}'s winning chain, in layer order:
+    the same DP, replayed into one record per layer.  Summing the
+    trace's [compute_cycles] and [accesses] gives {!evaluate}'s totals
+    exactly.  For reports ({!Layer_report}, the simulator); the
+    evaluation hot path never builds it. *)

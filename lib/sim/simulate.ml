@@ -7,14 +7,6 @@ type block_sim = {
   port_cycles : float;
 }
 
-let boundary_flags plan ~num_blocks ~index =
-  let on_chip = plan.Builder.Buffer_alloc.inter_seg_on_chip in
-  let input_on_chip = if index = 0 then false else on_chip.(index - 1) in
-  let output_on_chip =
-    if index = num_blocks - 1 then false else on_chip.(index)
-  in
-  (input_on_chip, output_on_chip)
-
 (* Buffer accounting with BRAM-bank rounding: every physically separate
    buffer rounds up to whole banks, which is why synthesised designs use
    slightly more memory than the model predicts. *)
@@ -67,7 +59,7 @@ let simulate_block cfg ~clock ~table (built : Builder.Build.t) ~index ~start =
   let plan = built.Builder.Build.plan in
   let num_blocks = Array.length built.Builder.Build.blocks in
   let input_on_chip, output_on_chip =
-    boundary_flags plan ~num_blocks ~index
+    Mccm.Evaluate.boundary_flags plan ~num_blocks ~index
   in
   match
     (built.Builder.Build.blocks.(index),
@@ -180,7 +172,7 @@ let trace_block ?(cfg = Sim_config.default) (built : Builder.Build.t) ~block =
     in
     let dma = Dma.create cfg board ~clock_hz:clock in
     let input_on_chip, output_on_chip =
-      boundary_flags plan ~num_blocks ~index:block
+      Mccm.Evaluate.boundary_flags plan ~num_blocks ~index:block
     in
     let trace = Trace.create () in
     let _ =

@@ -58,3 +58,28 @@ let pareto_coords ~max_points =
   Gen.(
     list_size (int_range 1 max_points)
       (pair (float_range 0.0 10.0) (float_range 0.0 10.0)))
+
+(* ------------------------------------------------ seeded properties *)
+
+(* Every model of the extended zoo with its table, by abbreviation. *)
+let zoo_tables =
+  lazy
+    (List.map
+       (fun m -> (m.Cnn.Model.abbreviation, Cnn.Table.of_model m))
+       (Cnn.Model_zoo.extended ()))
+
+(* A seeded check_prop loop: [count] cases drawn from [gen] with a fixed
+   seed, so a failure reproduces exactly, and the failing cases are
+   counted and the first one printed. *)
+let check_prop ~name ~seed ~count gen prop pp =
+  let rand = Random.State.make [| seed |] in
+  let failures = ref [] in
+  for _ = 1 to count do
+    let x = Gen.generate1 ~rand gen in
+    if not (prop x) then failures := x :: !failures
+  done;
+  match List.rev !failures with
+  | [] -> ()
+  | first :: _ as fs ->
+    Alcotest.failf "%s: %d of %d cases failed; first: %a" name
+      (List.length fs) count pp first

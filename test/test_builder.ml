@@ -494,22 +494,6 @@ let prop_producer_tile_range =
 
 (* ------------------------------------------ search against the oracle *)
 
-(* A seeded check_prop loop: [count] cases drawn from [gen] with a fixed
-   seed, so a failure reproduces exactly, and the failing cases are
-   counted and the first one printed. *)
-let check_prop ~name ~seed ~count gen prop pp =
-  let rand = Random.State.make [| seed |] in
-  let failures = ref [] in
-  for _ = 1 to count do
-    let x = QCheck2.Gen.generate1 ~rand gen in
-    if not (prop x) then failures := x :: !failures
-  done;
-  match List.rev !failures with
-  | [] -> ()
-  | first :: _ as fs ->
-    Alcotest.failf "%s: %d of %d cases failed; first: %a" name
-      (List.length fs) count pp first
-
 (* A search case: a table, a PE count and the layer indices of one
    engine. *)
 type search_case = {
@@ -522,12 +506,6 @@ type search_case = {
 let pp_case ppf c =
   Format.fprintf ppf "%s pes=%d indices=[%s]" c.label c.pes
     (String.concat ";" (List.map string_of_int c.indices))
-
-let zoo_tables =
-  lazy
-    (List.map
-       (fun m -> (m.Cnn.Model.abbreviation, Cnn.Table.of_model m))
-       (Cnn.Model_zoo.extended ()))
 
 (* A random contiguous layer range of [table] with pes in 1..6000.  One
    case in three keeps only the range's depthwise layers (when it has
@@ -596,11 +574,11 @@ let test_search_matches_oracle () =
   let modes = Hashtbl.create 2 in
   List.iteri
     (fun k ((label, _) as t) ->
-      check_prop ~name:("oracle on " ^ label) ~seed:(100 + k) ~count:40
-        (range_case t) (matches_oracle modes) pp_case)
-    (Lazy.force zoo_tables);
-  check_prop ~name:"oracle on generated workloads" ~seed:7 ~count:300
-    generated_case (matches_oracle modes) pp_case;
+      Generators.check_prop ~name:("oracle on " ^ label) ~seed:(100 + k)
+        ~count:40 (range_case t) (matches_oracle modes) pp_case)
+    (Lazy.force Generators.zoo_tables);
+  Generators.check_prop ~name:"oracle on generated workloads" ~seed:7
+    ~count:300 generated_case (matches_oracle modes) pp_case;
   checkb "filter mode covered" true (Hashtbl.mem modes false);
   checkb "channel mode covered" true (Hashtbl.mem modes true)
 
@@ -632,15 +610,15 @@ let test_search_shape_invariance () =
   in
   List.iteri
     (fun k ((label, _) as t) ->
-      check_prop ~name:("shape invariance on " ^ label) ~seed:(200 + k)
-        ~count:40 (invariant_case t)
+      Generators.check_prop ~name:("shape invariance on " ^ label)
+        ~seed:(200 + k) ~count:40 (invariant_case t)
         (fun (c, permuted, swapped) ->
           let p = choose c c.indices in
           List.for_all
             (fun l -> Engine.Parallelism.equal p (choose c l))
             [ permuted; swapped; c.indices @ c.indices ])
         pp)
-    (Lazy.force zoo_tables)
+    (Lazy.force Generators.zoo_tables)
 
 let properties =
   List.map QCheck_alcotest.to_alcotest

@@ -196,6 +196,489 @@ let test_eq9_interseg_tradeoff () =
   checkb "plentiful BRAM never accesses more" true
     (Mccm.Metrics.accesses_bytes big <= Mccm.Metrics.accesses_bytes small)
 
+(* ------------------------------------------- Single_ce_model oracle *)
+
+(* The list-building single-CE DP the allocation-free evaluator
+   replaced, kept verbatim as its oracle: per-layer candidate lists,
+   [Access.t] totals and a trace list per state. *)
+module Oracle = struct
+  module Access = Mccm.Access
+
+  type layer_result = Mccm.Single_ce_model.layer_result = {
+    layer_index : int;
+    compute_cycles : int;
+    accesses : Access.t;
+    ifm_on_chip : bool;
+    ofm_stays_on_chip : bool;
+  }
+
+  type result = {
+    layers : layer_result list;
+    compute_cycles : int;
+    accesses : Access.t;
+    compute_s : float;
+    memory_s : float;
+    latency_s : float;
+    utilization : float;
+  }
+
+  type validity = { mutable lo : int; mutable hi : int }
+
+  (* Outcome-preserving threshold test: [t <= cap], narrowing [v] to the
+     capacities that decide the same way. *)
+  let le_cap v cap t =
+    if t <= cap then begin
+      if t > v.lo then v.lo <- t;
+      true
+    end
+    else begin
+      if t - 1 < v.hi then v.hi <- t - 1;
+      false
+    end
+
+  (* Value-preserving [ceil_div x avail] for [avail = max 1 (cap - reserved)]:
+     narrows [v] to the capacities producing the same quotient. *)
+  let cd_window v cap ~reserved x =
+    let avail = max 1 (cap - reserved) in
+    if cap - reserved < 1 then begin
+      (* Clamp active: any capacity <= reserved gives the same window. *)
+      if reserved < v.hi then v.hi <- reserved
+    end
+    else begin
+      if reserved + 1 > v.lo then v.lo <- reserved + 1;
+      if x > 0 then begin
+        let n = Util.Int_math.ceil_div x avail in
+        let alo = Util.Int_math.ceil_div x n in
+        if reserved + alo > v.lo then v.lo <- reserved + alo;
+        if n > 1 then begin
+          let ahi = (x - 1) / (n - 1) in
+          if reserved + ahi < v.hi then v.hi <- reserved + ahi
+        end
+      end
+    end;
+    Util.Int_math.ceil_div x avail
+
+  (* Eq. 6 for one layer, as a set of legal buffering decisions rather
+     than a single greedy pick.  Each candidate is [(accesses, stays)]:
+     the off-chip traffic the decision costs and whether it leaves the
+     OFM resident for the next layer.  [ifm_in_cap] is true when the IFM
+     occupies this block's FM capacity (it was produced by the previous
+     layer); when the IFM sits in an inter-segment buffer it is on-chip
+     but costs no capacity.  [ofm_to_interseg] frees the OFM from the
+     capacity and forbids spilling it. *)
+  let layer_candidates ~validity ~plan ~w ~ifm ~ofm ~extra ~band ~ifm_on_chip
+      ~ifm_in_cap ~ofm_to_interseg =
+    let cap = plan.Builder.Buffer_alloc.fm_capacity_bytes in
+    let le_cap t = le_cap validity cap t in
+    let ifm_cap_bytes = if ifm_in_cap then ifm else 0 in
+    let ofm_cap_bytes = if ofm_to_interseg then 0 else ofm in
+    (* A resident shortcut stays on-chip only while everything fits; when a
+       layer spills, the shortcut spills too, at roughly one pass of its
+       bytes per carrying layer (a residual chain of two carrying layers
+       pays its store once and its reload once). *)
+    let extra_spill = Access.fms extra in
+    let cands = ref [] in
+    let add acc stays = cands := (acc, stays) :: !cands in
+    if ifm_on_chip then begin
+      if le_cap (ifm_cap_bytes + ofm_cap_bytes + extra) then begin
+        (* Ideal case: one access per weight. *)
+        add (Access.weights w) true;
+        (* Voluntarily spilling the OFM can still pay off when the next
+           layer would otherwise be squeezed out of its capacity. *)
+        if not ofm_to_interseg then
+          add (Access.add (Access.weights w) (Access.fms ofm)) false
+      end
+      else begin
+        (* Keep the OFM resident by evicting the shortcut instead. *)
+        if extra > 0 && le_cap (ifm_cap_bytes + ofm_cap_bytes) then
+          add (Access.add (Access.weights w) extra_spill) true;
+        (* IFM is resident but the OFM cannot stay: stream it out.  The
+           shortcut only spills if it no longer fits beside the IFM. *)
+        let es =
+          if le_cap (ifm_cap_bytes + extra) then Access.zero else extra_spill
+        in
+        add
+          (Access.add
+             (Access.add (Access.weights w) es)
+             (if ofm_to_interseg then Access.zero else Access.fms ofm))
+          ofm_to_interseg
+      end
+    end
+    else begin
+      (* IFM off-chip; [band] is the one-OFM-row IFM streaming band. *)
+      let ifm_band = band in
+      if le_cap (ifm + ofm_cap_bytes + extra) then begin
+        (* Load the IFM once; everything is buffered afterwards. *)
+        add (Access.add (Access.weights w) (Access.fms ifm)) true;
+        if not ofm_to_interseg then
+          add (Access.add (Access.weights w) (Access.fms (ifm + ofm))) false
+      end
+      else begin
+        if extra > 0 && le_cap (ifm + ofm_cap_bytes) then
+          add
+            (Access.add (Access.weights w)
+               (Access.add (Access.fms ifm) extra_spill))
+            true;
+        (* Streaming regime: charge the cheaper of Eq. 6's two options
+           under each feasible reservation of the capacity. *)
+        let stream ~extra_kept ~keep_ofm =
+          let extra_reserved = if extra_kept then extra else 0 in
+          let es = if extra_kept then Access.zero else extra_spill in
+          let reserved = extra_reserved + if keep_ofm then ofm else 0 in
+          (* Option 1 — OS, locally input-stationary: each IFM chunk is
+             loaded once and the weights re-streamed per chunk. *)
+          let opt1_w = w * cd_window validity cap ~reserved ifm in
+          let opt1_fm = ifm in
+          (* Option 2 — OS, locally weight-stationary: each weight chunk is
+             loaded once and the IFM re-streamed per chunk. *)
+          let opt2_w = w in
+          let opt2_fm = ifm * cd_window validity cap ~reserved w in
+          let w_acc, ifm_acc =
+            if opt1_w + opt1_fm <= opt2_w + opt2_fm then (opt1_w, opt1_fm)
+            else (opt2_w, opt2_fm)
+          in
+          let ofm_acc = if keep_ofm || ofm_to_interseg then 0 else ofm in
+          add
+            (Access.add es
+               (Access.add (Access.weights w_acc) (Access.fms (ifm_acc + ofm_acc))))
+            (keep_ofm || ofm_to_interseg)
+        in
+        let extra_fits = le_cap (extra + ofm_cap_bytes + ifm_band) in
+        let keep_fits ~extra_reserved =
+          (not ofm_to_interseg) && le_cap (ofm + extra_reserved + ifm_band)
+        in
+        stream ~extra_kept:false ~keep_ofm:false;
+        if extra_fits then stream ~extra_kept:true ~keep_ofm:false;
+        if keep_fits ~extra_reserved:0 then stream ~extra_kept:false ~keep_ofm:true;
+        if extra_fits && keep_fits ~extra_reserved:extra then
+          stream ~extra_kept:true ~keep_ofm:true
+      end
+    end;
+    List.rev !cands
+
+  let evaluate_with_validity ~table ~board ~engine ~plan ~first ~last
+      ~input_on_chip ~output_on_chip () =
+    let bpe = board.Platform.Board.bytes_per_element in
+    let validity = { lo = 0; hi = max_int } in
+    (* Per-layer scalar view, in bytes: (weights, ifm, ofm, extra,
+       one-row IFM band, Eq.-1 cycles). *)
+    let view i =
+      ( Cnn.Table.weight_elements table i * bpe,
+        Cnn.Table.ifm_elements table i * bpe,
+        Cnn.Table.ofm_elements table i * bpe,
+        Cnn.Table.extra_resident_elements table i * bpe,
+        Cnn.Table.band1_elements table i * bpe,
+        Engine.Ce.layer_cycles_at engine table i )
+    in
+    (* Two-state DP over the layer chain: a state is whether the layer's
+       IFM is resident in the block's FM capacity.  Charging the cheapest
+       chain (not a per-layer greedy) keeps the modelled traffic monotone
+       in the capacity: a keep-the-OFM decision that squeezes a later
+       layer's streaming window is outbid by the spill chain. *)
+    let better a b =
+      match (a, b) with
+      | None, x | x, None -> x
+      | Some (ta, _), Some (tb, _) ->
+        if Access.total ta <= Access.total tb then a else b
+    in
+    let step i states =
+      let w, ifm, ofm, extra, band, compute_cycles = view i in
+      let is_last = i = last in
+      let ofm_to_interseg = is_last && output_on_chip in
+      let next = [| None; None |] in
+      List.iter
+        (fun (ifm_on_chip, ifm_in_cap, state) ->
+          match state with
+          | None -> ()
+          | Some (total, trace) ->
+            List.iter
+              (fun (accesses, stays) ->
+                (* A last layer writing off-chip does not leave its OFM for
+                   anyone. *)
+                let accesses =
+                  if is_last && (not output_on_chip) && stays then
+                    Access.add accesses (Access.fms ofm)
+                  else accesses
+                in
+                let r =
+                  {
+                    layer_index = i;
+                    compute_cycles;
+                    accesses;
+                    ifm_on_chip;
+                    ofm_stays_on_chip = stays;
+                  }
+                in
+                let j = if stays then 1 else 0 in
+                next.(j) <-
+                  better next.(j) (Some (Access.add total accesses, r :: trace)))
+              (layer_candidates ~validity ~plan ~w ~ifm ~ofm ~extra ~band
+                 ~ifm_on_chip ~ifm_in_cap ~ofm_to_interseg))
+        states;
+      next
+    in
+    (* The block input arrives either off-chip or through an inter-segment
+       buffer: on-chip but outside the capacity. *)
+    let after_first =
+      step first
+        [ (input_on_chip, false, Some (Access.zero, [])) ]
+    in
+    let final =
+      let rec loop i states =
+        if i > last then states
+        else
+          loop (i + 1)
+            (step i [ (false, true, states.(0)); (true, true, states.(1)) ])
+      in
+      loop (first + 1) after_first
+    in
+    let layers =
+      match better final.(0) final.(1) with
+      | Some (_, trace) -> List.rev trace
+      | None -> assert false (* every layer contributes >= 1 candidate *)
+    in
+    let compute_cycles =
+      List.fold_left (fun a (r : layer_result) -> a + r.compute_cycles) 0 layers
+    in
+    let accesses =
+      Access.sum (List.map (fun (r : layer_result) -> r.accesses) layers)
+    in
+    let compute_s = Platform.Board.cycles_to_seconds board compute_cycles in
+    let memory_s = Platform.Board.bytes_to_seconds board (Access.total accesses) in
+    (* Per-layer overlap of compute and transfer (double-buffered streams). *)
+    let latency_s =
+      List.fold_left
+        (fun acc (r : layer_result) ->
+          let c = Platform.Board.cycles_to_seconds board r.compute_cycles in
+          let m =
+            Platform.Board.bytes_to_seconds board (Access.total r.accesses)
+          in
+          acc +. Float.max c m)
+        0.0 layers
+    in
+    let utilization = Engine.Ce.average_utilization_at engine table ~first ~last in
+    ( { layers; compute_cycles; accesses; compute_s; memory_s; latency_s;
+        utilization },
+      (validity.lo, validity.hi) )
+end
+
+(* One single-CE block: everything the model reads, plus a random
+   capacity of up to 16 MiB to evaluate it at besides its plan's own. *)
+type single_case = {
+  label : string;
+  table : Cnn.Table.t;
+  board : Platform.Board.t;
+  engine : Engine.Ce.t;
+  first : int;
+  last : int;
+  plan : Builder.Buffer_alloc.single_plan;
+  random_cap : int;
+}
+
+let pp_single_case ppf c =
+  Format.fprintf ppf "%s on %s, L%d-L%d, %a, cap %d (random %d)" c.label
+    c.board.Platform.Board.name (c.first + 1) (c.last + 1) Engine.Ce.pp
+    c.engine c.plan.Builder.Buffer_alloc.fm_capacity_bytes c.random_cap
+
+let sixteen_mib = 16 * 1024 * 1024
+
+(* A single-CE block of a built random design: its engine and buffer
+   plan come from the builder, so its capacity is a planner grant. *)
+let built_single_case (label, table) =
+  let open QCheck2.Gen in
+  let model = Cnn.Table.model table in
+  let num_layers = Cnn.Model.num_layers model in
+  let* board = oneofl Platform.Board.all in
+  let* spec = Generators.custom_spec ~num_layers in
+  let* pick = int_bound 1000 in
+  let* random_cap = int_bound sixteen_mib in
+  let built =
+    Builder.Build.build ~table model board (Arch.Custom.arch_of_spec model spec)
+  in
+  let singles =
+    List.filter_map
+      (fun (block, plan) ->
+        match (block, plan) with
+        | ( Builder.Build.Built_single { engine; first; last },
+            Builder.Buffer_alloc.Plan_single plan ) ->
+          Some (engine, first, last, plan)
+        | _ -> None)
+      (List.combine
+         (Array.to_list built.Builder.Build.blocks)
+         (Array.to_list
+            built.Builder.Build.plan.Builder.Buffer_alloc.block_plans))
+  in
+  let engine, first, last, plan =
+    List.nth singles (pick mod List.length singles)
+  in
+  return { label; table; board; engine; first; last; plan; random_cap }
+
+(* A random layer range of [table] on an engine of 1-3000 PEs, with the
+   parallelism the builder would choose for it and a random capacity. *)
+let range_single_case (label, table) =
+  let open QCheck2.Gen in
+  let n = Cnn.Table.num_layers table in
+  let* a = int_bound (n - 1) in
+  let* b = int_bound (n - 1) in
+  let* pes = int_range 1 3000 in
+  let* board = oneofl Platform.Board.all in
+  let* dataflow =
+    oneofl
+      Engine.Dataflow.
+        [ Weight_stationary; Output_stationary; Input_stationary ]
+  in
+  let* cap = int_bound sixteen_mib in
+  let* random_cap = int_bound sixteen_mib in
+  let first = min a b and last = max a b in
+  let engine =
+    Engine.Ce.v ~id:1 ~pes
+      ~parallelism:
+        (Builder.Parallelism_select.choose_indices ~pes table
+           (List.init (last - first + 1) (fun k -> first + k)))
+      ~dataflow
+  in
+  let plan =
+    {
+      Builder.Buffer_alloc.weights_tile_bytes = 0;
+      fm_capacity_bytes = cap;
+      fm_ideal_bytes = 0;
+    }
+  in
+  return { label; table; board; engine; first; last; plan; random_cap }
+
+let single_case_gens () =
+  let zoo = Lazy.force Generators.zoo_tables in
+  let ranges =
+    List.filter (fun (label, _) -> label = "Res152" || label = "MobV2") zoo
+  in
+  List.map (fun t -> ("built " ^ fst t, built_single_case t)) zoo
+  @ List.map (fun t -> ("range " ^ fst t, range_single_case t)) ranges
+
+let flag_pairs = [ (false, false); (false, true); (true, false); (true, true) ]
+
+let case_caps c =
+  let own = c.plan.Builder.Buffer_alloc.fm_capacity_bytes in
+  [ own; 0; 1; own / 3; c.random_cap ]
+
+let eval_case c ~cap ~input_on_chip ~output_on_chip =
+  Mccm.Single_ce_model.evaluate_with_validity ~table:c.table ~board:c.board
+    ~engine:c.engine
+    ~plan:{ c.plan with Builder.Buffer_alloc.fm_capacity_bytes = cap }
+    ~first:c.first ~last:c.last ~input_on_chip ~output_on_chip ()
+
+let same_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_result (a : Mccm.Single_ce_model.result)
+    (b : Mccm.Single_ce_model.result) =
+  a.compute_cycles = b.compute_cycles
+  && a.accesses = b.accesses
+  && same_float a.compute_s b.compute_s
+  && same_float a.memory_s b.memory_s
+  && same_float a.latency_s b.latency_s
+  && same_float a.utilization b.utilization
+
+let matches_oracle c =
+  List.for_all
+    (fun (input_on_chip, output_on_chip) ->
+      List.for_all
+        (fun cap ->
+          let plan =
+            { c.plan with Builder.Buffer_alloc.fm_capacity_bytes = cap }
+          in
+          let o, o_validity =
+            Oracle.evaluate_with_validity ~table:c.table ~board:c.board
+              ~engine:c.engine ~plan ~first:c.first ~last:c.last
+              ~input_on_chip ~output_on_chip ()
+          in
+          let r, validity = eval_case c ~cap ~input_on_chip ~output_on_chip in
+          let layers =
+            Mccm.Single_ce_model.layers ~table:c.table ~board:c.board
+              ~engine:c.engine ~plan ~first:c.first ~last:c.last
+              ~input_on_chip ~output_on_chip ()
+          in
+          validity = o_validity
+          && same_result r
+               {
+                 compute_cycles = o.compute_cycles;
+                 accesses = o.accesses;
+                 compute_s = o.compute_s;
+                 memory_s = o.memory_s;
+                 latency_s = o.latency_s;
+                 utilization = o.utilization;
+               }
+          && layers = o.layers)
+        (case_caps c))
+    flag_pairs
+
+(* [prop] on 25 seeded cases of every case generator. *)
+let check_single_cases ~name ~seed prop =
+  List.iteri
+    (fun k (label, gen) ->
+      Generators.check_prop ~name:(name ^ " on " ^ label) ~seed:(seed + k)
+        ~count:25 gen prop pp_single_case)
+    (single_case_gens ())
+
+let test_single_matches_oracle () =
+  check_single_cases ~name:"oracle" ~seed:300 matches_oracle
+
+(* The validity interval: every capacity in it, its two ends included,
+   must give a bit-identical result — and the same interval, since
+   every branch and quotient the interval pins comes out the same. *)
+let test_single_validity_interval () =
+  let rand = Random.State.make [| 42 |] in
+  let interior lo hi =
+    if hi > lo then lo + Random.State.full_int rand (hi - lo) else lo
+  in
+  check_single_cases ~name:"validity" ~seed:400 (fun c ->
+      List.for_all
+        (fun (input_on_chip, output_on_chip) ->
+          List.for_all
+            (fun cap ->
+              let r, ((lo, hi) as validity) =
+                eval_case c ~cap ~input_on_chip ~output_on_chip
+              in
+              lo <= cap && cap <= hi
+              && List.for_all
+                   (fun cap' ->
+                     let r', validity' =
+                       eval_case c ~cap:cap' ~input_on_chip ~output_on_chip
+                     in
+                     same_result r r' && validity = validity')
+                   [ lo; hi; interior lo hi ])
+            (case_caps c))
+        flag_pairs)
+
+(* A segment-cache hit at another capacity inside a recorded interval
+   returns exactly what a fresh, cache-less evaluation there does. *)
+let test_seg_cache_interval_hit () =
+  let rand = Random.State.make [| 43 |] in
+  let moved = ref 0 in
+  check_single_cases ~name:"seg cache hit" ~seed:500 (fun c ->
+      let input_on_chip = Random.State.bool rand in
+      let output_on_chip = Random.State.bool rand in
+      let cap = c.plan.Builder.Buffer_alloc.fm_capacity_bytes in
+      let _, (lo, hi) = eval_case c ~cap ~input_on_chip ~output_on_chip in
+      (* Another capacity in [lo, hi], at most 16 MiB away. *)
+      let cap' =
+        if hi > cap then
+          cap + 1 + Random.State.full_int rand (min (hi - cap) sixteen_mib)
+        else if lo < cap then lo + Random.State.full_int rand (cap - lo)
+        else cap
+      in
+      if cap' <> cap then incr moved;
+      let cache = Mccm.Seg_cache.create () in
+      let single cap compute =
+        Mccm.Seg_cache.single cache ~engine:c.engine ~cap ~first:c.first
+          ~last:c.last ~input_on_chip ~output_on_chip compute
+      in
+      ignore
+        (single cap (fun () -> eval_case c ~cap ~input_on_chip ~output_on_chip));
+      let hit = single cap' (fun () -> Alcotest.fail "expected a cache hit") in
+      let fresh, _ = eval_case c ~cap:cap' ~input_on_chip ~output_on_chip in
+      same_result hit fresh && Mccm.Seg_cache.single_counts cache = (1, 1));
+  checkb "some hits at a moved capacity" true (!moved > 0)
+
 (* --------------------------------------------------- Pipelined_model *)
 
 let pipelined_setup () =
@@ -522,6 +1005,11 @@ let () =
             test_eq6_miniature_interseg_input;
           Alcotest.test_case "Eq.9 interseg tradeoff" `Quick
             test_eq9_interseg_tradeoff;
+          Alcotest.test_case "matches oracle" `Quick test_single_matches_oracle;
+          Alcotest.test_case "validity interval" `Quick
+            test_single_validity_interval;
+          Alcotest.test_case "seg cache interval hit" `Quick
+            test_seg_cache_interval_hit;
         ] );
       ( "pipelined",
         [
