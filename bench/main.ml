@@ -193,8 +193,10 @@ let bench_dse () =
      payload, seconds)
   in
   let workload name run =
-    (* Untimed warm-up pass so the pre-existing global parallelism memo
-       is equally warm for both arms; only session caching is measured. *)
+    (* Untimed warm-up pass, so neither arm pays first-touch costs.
+       Each arm evaluates through a fresh session, so every memo —
+       including the parallelism choices in the session's build cache —
+       starts empty in both. *)
     ignore (arm run false);
     let un_evals, un_payload, un_s = arm run false in
     (* The traced-vs-cached ratio below is a gate, so both arms take

@@ -39,8 +39,8 @@ let naive_parallelism pes =
    CE's layer assignment.  The parallelism key is the assignment's
    descriptor — (kind, block first/last, slot, slot count, PE count) —
    which fully determines the layer list, so the per-call construction
-   of the layers and of {!Parallelism_select}'s loop-extent signature is
-   skipped entirely on a hit.  Only the chosen {!Engine.Parallelism.t}
+   of the layers and {!Parallelism_select}'s search are skipped
+   entirely on a hit.  Only the chosen {!Engine.Parallelism.t}
    is cached; the {!Engine.Ce.t} is rebuilt per call so display ids
    stay correct. *)
 type cache = {

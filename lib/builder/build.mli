@@ -79,8 +79,7 @@ val build :
     [cache] memoizes {!Buffer_alloc} planning floors and per-CE
     parallelism choices across calls that share (model, board,
     options); results are bit-identical with and without it.  Without a
-    cache, a build recomputes them (only {!Parallelism_select}'s
-    content-keyed search memo is shared process-wide).
+    cache, a build recomputes them.
     @raise Invalid_argument if the architecture has more engines than
     the board has DSPs, or if [table] was built from another model. *)
 

@@ -78,74 +78,19 @@ let next_smooth_geq n =
     let i = floor_index s n in
     if s.(i) = n || i = Array.length s - 1 then s.(i) else s.(i + 1)
 
-(* Memo keys double as the search input: [| pes; mode; e1; eh; ew; rest;
-   e1; eh; ew; rest; ... |], one (e1, eh, ew, rest) group per distinct
-   layer shape, in ascending shape order, with [rest] summed over the
-   layers sharing the shape.  Eq. 1's cost is linear in [rest] and the
-   per-dimension maxima ignore multiplicity, so merging is exact, and
-   any permutation or re-spelling of the same shape multiset maps to
-   one key. *)
-module Key = struct
-  type t = int array
-
-  let equal (a : t) (b : t) = a = b
-  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 0 a land max_int
-end
-
-module Memo = Hashtbl.Make (Key)
-
-let key ~pes ~channel_mode terms =
-  let rec merge = function
-    | (e1, eh, ew, r) :: (e1', eh', ew', r') :: tl
-      when e1 = e1' && eh = eh' && ew = ew' ->
-      merge ((e1, eh, ew, r + r') :: tl)
-    | t :: tl -> t :: merge tl
-    | [] -> []
-  in
-  let merged = merge (List.sort compare terms) in
-  let k = Array.make (2 + (4 * List.length merged)) 0 in
-  k.(0) <- pes;
-  k.(1) <- Bool.to_int channel_mode;
-  List.iteri
-    (fun j (e1, eh, ew, r) ->
-      let o = 2 + (4 * j) in
-      k.(o) <- e1;
-      k.(o + 1) <- eh;
-      k.(o + 2) <- ew;
-      k.(o + 3) <- r)
-    merged;
-  k
-
-(* The one process-global memo in the builder and the cost models:
-   [solve]'s results keyed by content (see [Key]), never by a table or
-   session identity.  Repeated content hits the same entry whichever
-   table, session or one-shot evaluation asks, so repeated requests do
-   not grow it: 4 000 one-shot Res50/VCU108 segmented/4 evaluations
-   leave 4 entries.  It grows only with distinct engine workloads
-   (bounding it for arbitrary user models is open work).  It stays
-   global because one-shot evaluations (the daemon's registry-full
-   fallback, [Validate], [mccm eval]) have no session to own it, and
-   the search is still a third to two thirds of their cost: on
-   VCU108, segmented/4 and hybrid/4 one-shot evaluations of Res50,
-   Res152, MobV2 and Dns121 take 38-159 us with it and 110-230 us
-   without (2-core Xeon, release build).  Exploration runs in parallel
-   domains, hence the mutex. *)
-let cache : P.t Memo.t = Memo.create 64
-
-let cache_lock = Mutex.create ()
-
 (* Exhaustive search over 7-smooth (d1, h) with the largest fitting
-   smooth w, minimising the summed Eq.-1 cycles of the key's terms.
-   Candidates are visited in ascending (d1, h) order and replace the
-   best only on strictly lower cost, or equal cost with larger d1, then
-   larger h, starting from (1, 1, 1).  Nothing is allocated per
-   candidate. *)
-let search key =
-  let pes = key.(0) in
-  let m = (Array.length key - 2) / 4 in
-  let field f = Array.init m (fun j -> key.(2 + (4 * j) + f)) in
-  let e1 = field 0 and eh = field 1 and ew = field 2 and rest = field 3 in
-  let cd = Util.Int_math.ceil_div in
+   smooth w, minimising the summed Eq.-1 cycles of the terms
+   [(e1.(j), eh.(j), ew.(j), rest.(j))].  The best candidate is the
+   least by (cost, larger d1, larger h), starting from (1, 1, 1);
+   candidates are visited in ascending (d1, h) order and replace the
+   best only when they beat it under that order.  A d1 none of whose
+   candidates can even tie the best cost is skipped whole (see
+   [might_tie]).  Nothing is allocated per candidate. *)
+let search ~pes ~channel_mode e1 eh ew rest =
+  let m = Array.length e1 in
+  (* Every dividend is a non-negative extent and every divisor a
+     positive degree. *)
+  let cd a b = (a + b - 1) / b in
   let max1 = Array.fold_left Int.max 1 e1 in
   let maxh = Array.fold_left Int.max 1 eh in
   let maxw = Array.fold_left Int.max 1 ew in
@@ -154,118 +99,187 @@ let search key =
   let d1s = smooth_le (Int.min pes (next_smooth_geq max1)) in
   let hs = smooth_le (Int.min pes limh) in
   let ws = smooth_le (Int.min pes limw) in
-  (* Every ceil-division the search needs, once: [qh.(a).(j)] is
-     [ceil(eh.(j) / hs.(a))], [qw] likewise for [ws], and [r1.(j)] is
-     [rest.(j) * ceil(e1.(j) / d1)] for the current d1.  Pricing a
-     candidate is then a plain multiply-add. *)
+  (* Terms of one output size (eh, ew) share their h and w quotients,
+     so candidates are priced per size: term [j] belongs to size
+     [size.(j)], of extents [(sh, sw)].  Regrouping an integer sum of
+     products changes no value. *)
+  let size = Array.make m 0 in
+  let sh = Array.make m 0 and sw = Array.make m 0 in
+  let ns = ref 0 in
+  for j = 0 to m - 1 do
+    let g = ref 0 in
+    while !g < !ns && not (sh.(!g) = eh.(j) && sw.(!g) = ew.(j)) do
+      incr g
+    done;
+    if !g = !ns then begin
+      sh.(!g) <- eh.(j);
+      sw.(!g) <- ew.(j);
+      incr ns
+    end;
+    size.(j) <- !g
+  done;
+  let ns = !ns in
+  (* Every ceil-division the search needs, once: [qh.(a * ns + g)] is
+     [ceil(sh.(g) / hs.(a))], [qw] likewise for [ws], and [r1.(g)] is
+     the sum of [rest.(j) * ceil(e1.(j) / d1)] over the terms of size
+     [g] for the current d1.  Pricing a candidate is then a plain
+     multiply-add over the sizes. *)
   let quotients e degrees =
-    Array.map (fun d -> Array.map (fun x -> cd x d) e) degrees
+    let q = Array.make (Array.length degrees * ns) 0 in
+    Array.iteri
+      (fun a d ->
+        for g = 0 to ns - 1 do
+          q.((a * ns) + g) <- cd e.(g) d
+        done)
+      degrees;
+    q
   in
-  let qh = quotients eh hs and qw = quotients ew ws in
-  let r1 = Array.make m 0 in
+  let qh = quotients sh hs and qw = quotients sw ws in
+  let shw = Array.init ns (fun g -> sh.(g) * sw.(g)) in
+  let work = ref 0 in
+  for j = 0 to m - 1 do
+    work := !work + (rest.(j) * e1.(j) * eh.(j) * ew.(j))
+  done;
+  let work = !work in
+  let r1 = Array.make ns 0 in
   let set_d1 d1 =
+    Array.fill r1 0 ns 0;
     for j = 0 to m - 1 do
-      r1.(j) <- rest.(j) * cd e1.(j) d1
+      r1.(size.(j)) <- r1.(size.(j)) + (rest.(j) * cd e1.(j) d1)
     done
   in
   let cost ih iw =
-    let qh = qh.(ih) and qw = qw.(iw) in
+    let oh = ih * ns and ow = iw * ns in
     let c = ref 0 in
-    for j = 0 to m - 1 do
-      c := !c + (r1.(j) * qh.(j) * qw.(j))
+    for g = 0 to ns - 1 do
+      c := !c + (r1.(g) * qh.(oh + g) * qw.(ow + g))
     done;
     !c
   in
   set_d1 1;
   let best_c = ref (cost 0 0) and best_d1 = ref 1 and best_h = ref 1
   and best_w = ref 1 in
+  (* Whether a candidate (d1, h, w) with [h * w <= rem] might cost no
+     more than the best, by three lower bounds on its cost, each tried
+     only while the previous one passes:
+     - with [ceil(a / d) >= a / d], each term is at least
+       [rest * e1 * eh * ew / (d1 * rem)], so the cost is at least
+       [ceil(work / (d1 * rem))];
+     - keeping [r1] exact, it is at least
+       [ceil(sum_g r1.(g) * sh.(g) * sw.(g) / rem)];
+     - with [ceil(a / h) * ceil(b / w) >= ceil(a * b / (h * w))], it is
+       at least [sum_g r1.(g) * ceil(sh.(g) * sw.(g) / rem)].
+     The first costs one division; the last two leave [r1] set for
+     [d1].  Failing only on a strictly greater bound keeps every tie,
+     so the tie-break still sees all of them. *)
+  let might_tie d1 rem =
+    cd work (d1 * rem) <= !best_c
+    && begin
+      set_d1 d1;
+      let area = ref 0 in
+      for g = 0 to ns - 1 do
+        area := !area + (r1.(g) * shw.(g))
+      done;
+      cd !area rem <= !best_c
+      && begin
+        let floor = ref 0 in
+        for g = 0 to ns - 1 do
+          floor := !floor + (r1.(g) * cd shw.(g) rem)
+        done;
+        !floor <= !best_c
+      end
+    end
+  in
   Array.iter
     (fun d1 ->
-      set_d1 d1;
       let rem = pes / d1 in
-      let hcap = Int.min rem limh in
-      let ih = ref 0 in
-      while !ih < Array.length hs && hs.(!ih) <= hcap do
-        let h = hs.(!ih) in
-        let iw = floor_index ws (Int.min (rem / h) limw) in
-        let c = cost !ih iw in
-        if
-          c < !best_c
-          || (c = !best_c && (d1 > !best_d1 || (d1 = !best_d1 && h > !best_h)))
-        then begin
-          best_c := c;
-          best_d1 := d1;
-          best_h := h;
-          best_w := ws.(iw)
-        end;
-        incr ih
-      done)
+      if might_tie d1 rem then begin
+        let hcap = Int.min rem limh in
+        (* The largest fitting w only shrinks as h grows: walk it down
+           from the h = 1 fit instead of searching for it. *)
+        let iw = ref (floor_index ws (Int.min rem limw)) in
+        let ih = ref 0 in
+        while !ih < Array.length hs && hs.(!ih) <= hcap do
+          let h = hs.(!ih) in
+          while ws.(!iw) * h > rem do
+            decr iw
+          done;
+          let iw = !iw in
+          let c = cost !ih iw in
+          if
+            c < !best_c
+            || (c = !best_c && (d1 > !best_d1 || (d1 = !best_d1 && h > !best_h)))
+          then begin
+            best_c := c;
+            best_d1 := d1;
+            best_h := h;
+            best_w := ws.(iw)
+          end;
+          incr ih
+        done
+      end)
     d1s;
-  let channel_mode = key.(1) = 1 in
   P.of_factors
     (if channel_mode then
        [ (P.Channels, !best_d1); (P.Height, !best_h); (P.Width, !best_w) ]
      else [ (P.Filters, !best_d1); (P.Height, !best_h); (P.Width, !best_w) ])
 
-let solve key =
-  let cached =
-    Mutex.lock cache_lock;
-    let r = Memo.find_opt cache key in
-    Mutex.unlock cache_lock;
-    r
-  in
-  match cached with
-  | Some p -> p
-  | None ->
-    let p = search key in
-    Mutex.lock cache_lock;
-    (if not (Memo.mem cache key) then Memo.add cache key p);
-    Mutex.unlock cache_lock;
-    p
-
 (* ------------------------------------------------------ cycle floors *)
 
-(* Divisor candidates for minimising [d -> ceil_div e d] under a cap:
-   the O(sqrt e) quotient breakpoints (smallest d per quotient) plus
-   the cap itself. *)
-let ceil_candidates e cap =
-  let m = max 1 (min e cap) in
-  let acc = ref [ m ] in
-  let q = ref 1 in
-  let continue = ref (e >= 1) in
-  while !continue do
-    let d = Util.Int_math.ceil_div e !q in
-    if d <= m then acc := d :: !acc;
-    if d <= 1 then continue := false
-    else begin
-      let q' = Util.Int_math.ceil_div e (d - 1) in
-      if q' <= !q then continue := false else q := q'
-    end
+(* The quotient breakpoints of [d -> ceil_div e d] over [1, e]: the
+   smallest d reaching each quotient, in descending order (O(sqrt e) of
+   them; at most [2 sqrt e + 1] distinct quotients exist).  Minimising
+   over a cap only needs these at or below the cap, plus the cap. *)
+let ceil_breakpoints e =
+  let cd = Util.Int_math.ceil_div in
+  let buf = Array.make ((2 * Util.Int_math.isqrt (Int.max e 0)) + 2) 0 in
+  let n = ref 0 and d = ref e in
+  while !d >= 1 do
+    buf.(!n) <- !d;
+    incr n;
+    (* The smallest divisor of the next larger quotient, that of d - 1. *)
+    d := if !d = 1 then 0 else cd e (cd e (!d - 1))
   done;
-  List.sort_uniq compare !acc
+  Array.sub buf 0 !n
 
 (* Minimum Eq.-1 cycles of one layer over every (d1, h, w) with
    [d1 * h * w <= budget]: [rest] covers the never-unrolled extents.
    This really is the minimum, not just a bound: for a fixed ceil
    quotient the smallest divisor achieving it dominates (it leaves the
    most budget to the later dimensions), and for fixed (d1, h) the
-   cost only falls as w grows, so the largest feasible w dominates. *)
+   cost only falls as w grows, so the largest feasible w dominates.
+   The breakpoints of [e1] and [eh] are built once per call; each d1
+   walks the [eh] ones below its own cap, smallest first. *)
 let min_cycles_mode ~budget ~e1 ~eh ~ew ~rest =
   let cd = Util.Int_math.ceil_div in
+  let bh = ceil_breakpoints eh in
   let best = ref max_int in
-  List.iter
-    (fun d1 ->
-      let rem = budget / d1 in
-      if rem >= 1 then
-        List.iter
-          (fun h ->
-            let w = max 1 (min ew (rem / h)) in
-            if rem / h >= 1 then begin
-              let c = rest * cd e1 d1 * cd eh h * cd ew w in
-              if c < !best then best := c
-            end)
-          (ceil_candidates eh rem))
-    (ceil_candidates e1 budget);
+  let try_h q1 rem h =
+    let w = Int.max 1 (Int.min ew (rem / h)) in
+    let c = rest * q1 * cd eh h * cd ew w in
+    if c < !best then best := c
+  in
+  let try_d1 d1 =
+    let rem = budget / d1 in
+    if rem >= 1 then begin
+      let q1 = cd e1 d1 in
+      let cap = Int.max 1 (Int.min eh rem) in
+      try_h q1 rem cap;
+      let k = ref (Array.length bh - 1) in
+      while !k >= 0 && bh.(!k) < cap do
+        try_h q1 rem bh.(!k);
+        decr k
+      done
+    end
+  in
+  let b1 = ceil_breakpoints e1 in
+  let cap = Int.max 1 (Int.min e1 budget) in
+  try_d1 cap;
+  let k = ref (Array.length b1 - 1) in
+  while !k >= 0 && b1.(!k) < cap do
+    try_d1 b1.(!k);
+    decr k
+  done;
   !best
 
 let cycle_floor ~pes table i =
@@ -292,23 +306,44 @@ let choose_indices ~pes table indices =
   match indices with
   | [] -> P.scalar
   | _ ->
-    let dw_macs, total_macs =
-      List.fold_left
-        (fun (dw, tot) i ->
-          let m = Cnn.Table.macs table i in
-          ((if Cnn.Table.is_depthwise table i then dw + m else dw), tot + m))
-        (0, 0) indices
-    in
-    let channel_mode = 2 * dw_macs >= total_macs in
-    (* Per layer: (first-dim extent, height, width, product of the
-       un-unrolled extents). *)
-    let terms =
-      List.map
-        (fun i ->
-          let ef, ec, eh, ew, ekh, ekw = Cnn.Table.extents table i in
-          let k2 = ekh * ekw in
-          if channel_mode then (ec, eh, ew, ef * k2)
-          else (ef, eh, ew, ec * k2))
-        indices
-    in
-    solve (key ~pes ~channel_mode terms)
+    let dw_macs = ref 0 and total_macs = ref 0 in
+    List.iter
+      (fun i ->
+        let m = Cnn.Table.macs table i in
+        if Cnn.Table.is_depthwise table i then dw_macs := !dw_macs + m;
+        total_macs := !total_macs + m)
+      indices;
+    let channel_mode = 2 * !dw_macs >= !total_macs in
+    (* One term per distinct layer shape ({!Cnn.Table.shape_id}):
+       first-dim extent, height, width, and the product of the
+       un-unrolled extents summed over the layers of that shape.
+       Eq. 1's cost is linear in that product and the per-dimension
+       maxima ignore multiplicity, so merging leaves the choice
+       unchanged and prices each candidate once per shape. *)
+    let shapes = Cnn.Table.num_shapes table in
+    let slot = Array.make shapes (-1) in
+    let e1 = Array.make shapes 0 and eh = Array.make shapes 0
+    and ew = Array.make shapes 0 and rest = Array.make shapes 0 in
+    let m = ref 0 in
+    List.iter
+      (fun i ->
+        let ef = Cnn.Table.extent_filters table i
+        and ec = Cnn.Table.extent_channels table i in
+        let k2 =
+          Cnn.Table.extent_kernel_h table i * Cnn.Table.extent_kernel_w table i
+        in
+        let r = (if channel_mode then ef else ec) * k2 in
+        let s = Cnn.Table.shape_id table i in
+        if slot.(s) >= 0 then rest.(slot.(s)) <- rest.(slot.(s)) + r
+        else begin
+          let j = !m in
+          slot.(s) <- j;
+          e1.(j) <- (if channel_mode then ec else ef);
+          eh.(j) <- Cnn.Table.extent_height table i;
+          ew.(j) <- Cnn.Table.extent_width table i;
+          rest.(j) <- r;
+          incr m
+        end)
+      indices;
+    let terms a = Array.sub a 0 !m in
+    search ~pes ~channel_mode (terms e1) (terms eh) (terms ew) (terms rest)

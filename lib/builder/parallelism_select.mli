@@ -25,9 +25,10 @@ val cycle_floor : pes:int -> Cnn.Table.t -> int -> int
     ones.  It therefore lower-bounds the per-layer cycles of any engine
     this module (or the naive-cube ablation) can construct with at most
     [pes] PEs, which makes it the compute-floor primitive of the DSE
-    pruning bounds ({!Dse.Bounds}).  Nonincreasing in [pes].  Not
-    memoised here: {!Dse.Bounds} computes each (PE level, layer) floor
-    once per bound context.
+    pruning bounds ({!Dse.Bounds}).  Nonincreasing in [pes].  Depends
+    on layer [i] only through its {!Cnn.Table.extents}.  Not memoised
+    here: {!Dse.Bounds} computes each (PE level, layer shape) floor once
+    per bound context.
     @raise Invalid_argument if [pes < 1]. *)
 
 val utilization_ceiling : pes:int -> Cnn.Table.t -> int -> float
@@ -53,13 +54,13 @@ val choose_indices :
 
     The search is exhaustive over 7-smooth (first-dimension, height)
     degrees, each with the largest 7-smooth width that fits, and
-    allocates nothing per candidate.  It is memoised process-wide by
-    content: the key is (pes, unroll mode, the merged terms), where
-    layers with equal (first-dimension, height, width) extents are
-    merged into one term by summing their un-unrolled extent products,
-    in sorted order.  Identical workloads from any table, session or
-    one-shot evaluation therefore share one entry, as do permutations of
-    [indices] and layers swapped for others of the same shape.  Per-CE
-    results are additionally cached per session in {!Build.cache}.
+    allocates nothing per candidate.  Layers of one shape
+    ({!Cnn.Table.shape_id}) are priced as one term, so the choice
+    depends only on the multiset of layer shapes: permuting [indices]
+    or swapping a layer for another of the same shape does not change
+    it.  A first-dimension degree is skipped whole when an admissible
+    floor on its candidates' cost exceeds the best cost so far, which
+    never changes the choice.  Nothing is memoised here; per-CE results
+    are cached per session in {!Build.cache}.
 
     @raise Invalid_argument if [pes < 1]. *)

@@ -38,6 +38,9 @@ type t = {
   ext_w : int array;
   ext_kh : int array;
   ext_kw : int array;
+  shape : int array;
+      (* dense id of the six extents, 0 up in order of first appearance *)
+  num_shapes : int;
   band1 : int array;
       (* IFM elements of the one-OFM-row streaming band:
          [Tiling.ifm_rows_for_ofm_rows ~rows:1 * in_w * in_c] *)
@@ -78,6 +81,22 @@ let of_model model =
   let ext_w = ext `Width in
   let ext_kh = ext `Kernel_h in
   let ext_kw = ext `Kernel_w in
+  let shape = Array.make n 0 in
+  let num_shapes =
+    let ids = Hashtbl.create n in
+    for i = 0 to n - 1 do
+      let e =
+        (ext_f.(i), ext_c.(i), ext_h.(i), ext_w.(i), ext_kh.(i), ext_kw.(i))
+      in
+      match Hashtbl.find_opt ids e with
+      | Some id -> shape.(i) <- id
+      | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids e id;
+        shape.(i) <- id
+    done;
+    Hashtbl.length ids
+  in
   (* One-OFM-row IFM band (the [rows = 1] case of
      [Builder.Tiling.ifm_rows_for_ofm_rows], inlined — [Cnn] sits below
      [Builder]): [min kernel (in_h + 2 * padding)] rows of IFM. *)
@@ -114,6 +133,7 @@ let of_model model =
     in_h; in_w; in_c; out_h; out_w; out_c;
     kernel; stride; padding; is_dw;
     ext_f; ext_c; ext_h; ext_w; ext_kh; ext_kw;
+    shape; num_shapes;
     band1;
     macs_pfx = prefix macs;
     weights_pfx = prefix weights;
@@ -156,6 +176,8 @@ let extents t i =
   (t.ext_f.(i), t.ext_c.(i), t.ext_h.(i), t.ext_w.(i), t.ext_kh.(i),
    t.ext_kw.(i))
 
+let shape_id t i = t.shape.(i)
+let num_shapes t = t.num_shapes
 let extent_filters t i = t.ext_f.(i)
 let extent_channels t i = t.ext_c.(i)
 let extent_height t i = t.ext_h.(i)

@@ -65,6 +65,14 @@ val extent_kernel_w : t -> int -> int
 (** One component of {!extents} each, for per-layer hot loops: reading
     them allocates nothing, where {!extents} returns a fresh tuple. *)
 
+val shape_id : t -> int -> int
+(** Dense id of the layer's {!extents}: two layers share an id exactly
+    when their six loop extents are equal.  Ids run from 0 to
+    [num_shapes t - 1] in order of first appearance. *)
+
+val num_shapes : t -> int
+(** Number of distinct {!extents} tuples (Res152: 20 over 155 layers). *)
+
 (** {1 Segment aggregates} — O(1) each. *)
 
 val total_macs : t -> int

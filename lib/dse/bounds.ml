@@ -119,14 +119,23 @@ let make_ctx t ces =
     Array.of_list (if cap <= 1 then [ 1 ] else go [] cap)
   in
   let nl = Array.length levels in
+  (* A layer's floor depends only on its loop extents, so each level
+     prices one representative layer per shape: Res152's 155 layers
+     have 20. *)
+  let reps = Array.make (Cnn.Table.num_shapes t.table) 0 in
+  for i = n - 1 downto 0 do
+    reps.(Cnn.Table.shape_id t.table i) <- i
+  done;
   let qlvl_pfx = Array.make_matrix nl (n + 1) 0 in
   for k = 0 to nl - 1 do
     let q =
-      Array.init n (fun i ->
+      Array.map
+        (fun i ->
           Builder.Parallelism_select.cycle_floor ~pes:levels.(k) t.table i)
+        reps
     in
     for i = 0 to n - 1 do
-      qlvl_pfx.(k).(i + 1) <- qlvl_pfx.(k).(i) + q.(i)
+      qlvl_pfx.(k).(i + 1) <- qlvl_pfx.(k).(i) + q.(Cnn.Table.shape_id t.table i)
     done
   done;
   let head_pfxmax = Array.make (n + 1) 0.0 in
@@ -167,7 +176,9 @@ let context t ~ces =
   match existing with
   | Some c -> c
   | None ->
-    let c = make_ctx t ces in
+    let c =
+      Mccm_obs.span ~cat:"dse" "dse.bounds_context" (fun () -> make_ctx t ces)
+    in
     Mutex.lock t.lock;
     let r =
       match List.assoc_opt ces t.contexts with

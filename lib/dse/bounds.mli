@@ -44,11 +44,13 @@ type ctx
     share ceilings) — the unit of {!segment_ii_floor} and friends. *)
 
 val create : Cnn.Table.t -> Platform.Board.t -> t
-(** O(1); the per-CE-count work happens on first {!context} use
-    (O(n sqrt extents) per CE count). *)
+(** O(1); the per-CE-count work happens on first {!context} use: one
+    quantization floor per (PE level, distinct layer shape) and one per
+    layer at its head share ceiling, O(sqrt extents) each. *)
 
 val context : t -> ces:int -> ctx
-(** The floor tables for designs with exactly [ces] engines.
+(** The floor tables for designs with exactly [ces] engines.  Building
+    them runs in a [dse.bounds_context] span.
     @raise Invalid_argument if [ces < 2]. *)
 
 val table : t -> Cnn.Table.t

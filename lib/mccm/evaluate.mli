@@ -61,9 +61,7 @@ val evaluate : Cnn.Model.t -> Platform.Board.t -> Arch.Block.arch -> t
 (** [evaluate model board archi] builds a {!Cnn.Table}, builds with the
     Multiple-CE Builder and runs the cost model — the methodology's
     end-to-end entry point.  One-shot: it owns no memo, so repeated
-    calls leave nothing behind except entries in
-    {!Builder.Parallelism_select}'s content-keyed search memo, which
-    repeated content does not grow.  Use {!Eval_session} to reuse work
+    calls leave nothing behind.  Use {!Eval_session} to reuse work
     across calls. *)
 
 val metrics : Cnn.Model.t -> Platform.Board.t -> Arch.Block.arch -> Metrics.t

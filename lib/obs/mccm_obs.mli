@@ -16,7 +16,8 @@
     [eval.single_ce], [eval.pipelined] (mccm); [build.build],
     [build.parallelism_select], [build.plan], [build.planning_floor]
     (build); [dse.draw], [dse.eval], [dse.eval_slice],
-    [dse.exhaustive], [dse.exhaustive_best], [dse.local_search] (dse);
+    [dse.exhaustive], [dse.exhaustive_best], [dse.local_search],
+    [dse.bounds_context] (dse);
     [validate.sweep] phases
     and one [validate.<invariant>] per invariant check (validate);
     [serve.<op>] per-request spans in the daemon's workers (serve, with

@@ -562,6 +562,30 @@ let generated_case =
   let* pes = int_range 1 6000 in
   return { label = "generated"; table; pes; indices }
 
+(* One engine slot of a pipelined block: the builder hands slot [s]
+   every [ces]-th layer of [first..last] ({!Builder.Workload}), which is
+   not a contiguous range.  The PE count is random, or the cap
+   [dsps - ces + 1] of a random board. *)
+let slot_case (label, table) =
+  let open QCheck2.Gen in
+  let n = Cnn.Table.num_layers table in
+  let* a = int_range 0 (n - 1) in
+  let* b = int_range 0 (n - 1) in
+  let first = min a b and last = max a b in
+  let* ces = int_range 2 (max 2 (min 12 (last - first + 1))) in
+  let* slot = int_bound (ces - 1) in
+  let* pes =
+    oneof
+      [
+        int_range 1 6000;
+        map
+          (fun board -> board.Platform.Board.dsps - ces + 1)
+          (oneofl Platform.Board.all);
+      ]
+  in
+  let slots = Builder.Workload.pipelined_assignment ~ces ~first ~last in
+  return { label = label ^ " slot"; table; pes; indices = slots.(slot) }
+
 let matches_oracle modes c =
   let expected, channel_mode =
     Oracle.choose_indices ~pes:c.pes c.table c.indices
@@ -577,6 +601,32 @@ let test_search_matches_oracle () =
       Generators.check_prop ~name:("oracle on " ^ label) ~seed:(100 + k)
         ~count:40 (range_case t) (matches_oracle modes) pp_case)
     (Lazy.force Generators.zoo_tables);
+  List.iteri
+    (fun k ((label, _) as t) ->
+      Generators.check_prop ~name:("oracle on pipelined slots of " ^ label)
+        ~seed:(300 + k) ~count:25 (slot_case t) (matches_oracle modes) pp_case)
+    (Lazy.force Generators.zoo_tables);
+  (* At every board's cap for 4 engines, one slot of a 4-engine
+     pipeline over each network's first 16 layers; the four boards
+     cover the four slots. *)
+  List.iteri
+    (fun b board ->
+      let pes = board.Platform.Board.dsps - 3 in
+      List.iter
+        (fun (label, table) ->
+          let last = min 15 (Cnn.Table.num_layers table - 1) in
+          let slots =
+            Builder.Workload.pipelined_assignment ~ces:4 ~first:0 ~last
+          in
+          let c =
+            { label = Printf.sprintf "%s slot %d" label b; table; pes;
+              indices = slots.(b mod 4) }
+          in
+          if not (matches_oracle modes c) then
+            Alcotest.failf "oracle differs at the %s cap: %a"
+              board.Platform.Board.name pp_case c)
+        (Lazy.force Generators.zoo_tables))
+    Platform.Board.all;
   Generators.check_prop ~name:"oracle on generated workloads" ~seed:7
     ~count:300 generated_case (matches_oracle modes) pp_case;
   checkb "filter mode covered" true (Hashtbl.mem modes false);
@@ -620,6 +670,70 @@ let test_search_shape_invariance () =
         pp)
     (Lazy.force Generators.zoo_tables)
 
+(* [cycle_floor] against brute force: the least Eq.-1 cycle count
+   ({!Engine.Ce.layer_cycles_at}) over every integer (d1, h, w) with
+   d1 * h * w <= pes, in both unroll modes, on a random layer whose
+   extents are at most 64, with pes up to 256 and pes = 1 covered. *)
+let test_cycle_floor_brute_force () =
+  let brute ~pes table i =
+    let best = ref max_int in
+    for d1 = 1 to pes do
+      for h = 1 to pes / d1 do
+        for w = 1 to pes / (d1 * h) do
+          List.iter
+            (fun first ->
+              let parallelism =
+                Engine.Parallelism.of_factors
+                  [ (first, d1); (Engine.Parallelism.Height, h);
+                    (Engine.Parallelism.Width, w) ]
+              in
+              let ce =
+                Engine.Ce.v ~id:1 ~pes ~parallelism
+                  ~dataflow:Engine.Dataflow.Output_stationary
+              in
+              best := min !best (Engine.Ce.layer_cycles_at ce table i))
+            [ Engine.Parallelism.Filters; Engine.Parallelism.Channels ]
+        done
+      done
+    done;
+    !best
+  in
+  let case =
+    let open QCheck2.Gen in
+    let* kind = oneofl Cnn.Layer.[ Standard; Standard; Depthwise; Pointwise ] in
+    let* channels = int_range 1 64 in
+    let* size = int_range 1 64 in
+    let* width = int_range 1 64 in
+    let* out = int_range 1 64 in
+    let* kernel =
+      match kind with
+      | Cnn.Layer.Pointwise -> return 1
+      | _ -> oneofl [ 1; 3; 5; 7 ]
+    in
+    let* pes = oneof [ return 1; int_range 1 256 ] in
+    let out_channels =
+      match kind with Cnn.Layer.Depthwise -> channels | _ -> out
+    in
+    let layer =
+      Cnn.Layer.v ~index:0 ~name:"l0" ~kind
+        ~in_shape:(Cnn.Shape.v ~channels ~height:size ~width)
+        ~out_channels ~kernel ~stride:1 ~padding:(kernel / 2) ()
+    in
+    return
+      ( Cnn.Table.of_model
+          (Cnn.Model.v ~name:"one" ~abbreviation:"One" ~layers:[ layer ]),
+        pes )
+  in
+  let pp ppf (table, pes) =
+    let f, c, h, w, kh, kw = Cnn.Table.extents table 0 in
+    Format.fprintf ppf "pes=%d extents=(%d,%d,%d,%d,%d,%d)" pes f c h w kh kw
+  in
+  Generators.check_prop ~name:"cycle_floor = brute force" ~seed:11 ~count:300
+    case
+    (fun (table, pes) ->
+      Builder.Parallelism_select.cycle_floor ~pes table 0 = brute ~pes table 0)
+    pp
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -647,6 +761,8 @@ let () =
             test_search_matches_oracle;
           Alcotest.test_case "search shape invariance" `Quick
             test_search_shape_invariance;
+          Alcotest.test_case "cycle floor brute force" `Quick
+            test_cycle_floor_brute_force;
           Alcotest.test_case "degree within budget" `Quick
             test_choose_degree_within_budget;
           Alcotest.test_case "depthwise channels" `Quick

@@ -326,6 +326,58 @@ let test_pruning_pays () =
   check "accounting" stats.Dse.Enumerate.enumerated
     (stats.Dse.Enumerate.evaluated + stats.Dse.Enumerate.pruned)
 
+(* The bounds, bit for bit: the exhaustive counts and winner of two
+   CLI-default workloads (20 000 specs), and the summed bounds of their
+   first 2 000 specs as hex floats, all recorded before the floors were
+   computed per layer shape.  The visit follows the bounds, so the
+   pruned count moves if any floor changes; the sums also pin the
+   floors of MobileNetV2, where nothing is pruned. *)
+let test_bounds_pinned () =
+  let pin name model board ces objective ~counts ~spec ~sums =
+    let got, stats =
+      Dse.Enumerate.exhaustive_best ~max_specs:20000 ~objective ~ces model
+        board
+    in
+    Alcotest.(check (triple int int int))
+      (name ^ ": enumerated, evaluated, pruned")
+      counts
+      Dse.Enumerate.(stats.enumerated, stats.evaluated, stats.pruned);
+    (match got with
+     | Some e ->
+       Alcotest.(check (pair int (list int)))
+         (name ^ ": winner spec") spec
+         ( e.Dse.Explore.spec.Arch.Custom.pipelined_layers,
+           e.Dse.Explore.spec.Arch.Custom.tail_boundaries )
+     | None -> Alcotest.fail (name ^ ": no winner"));
+    let b = Dse.Bounds.create (Cnn.Table.of_model model) board in
+    let specs =
+      Dse.Enumerate.enumerate_specs ~num_layers:(Cnn.Model.num_layers model)
+        ~ces ~max_specs:2000
+    in
+    let sum f =
+      Printf.sprintf "%h" (List.fold_left (fun a s -> a +. f b s) 0.0 specs)
+    in
+    Alcotest.(check (triple string string string))
+      (name ^ ": summed throughput, latency and cycle bounds")
+      sums
+      ( sum Dse.Bounds.throughput_upper_bound,
+        sum Dse.Bounds.latency_lower_bound,
+        sum Dse.Bounds.compute_ii_floor_cycles )
+  in
+  pin "Res152/VCU108 ces=10 throughput" (Cnn.Model_zoo.resnet152 ())
+    Platform.Board.vcu108 10 `Throughput ~counts:(20000, 9009, 10991)
+    ~spec:(1, [ 2; 3; 4; 5; 6; 8; 99; 103 ])
+    ~sums:
+      ( "0x1.98ad16dfaf975p+14",
+        "0x1.315ee9a05aeedp+10",
+        "0x1.c7d95cc3932aap+34" );
+  pin "MobV2/ZC706 ces=6 latency" mobv2 Platform.Board.zc706 6 `Latency
+    ~counts:(20000, 20000, 0) ~spec:(1, [ 2; 40; 41; 43 ])
+    ~sums:
+      ( "0x1.1d88ceaa3dc47p+20",
+        "0x1.3a01ef73be8e1p+4",
+        "0x1.463267aa870dbp+29" )
+
 let test_reports_no_nodes () =
   List.iter
     (fun domains ->
@@ -509,6 +561,8 @@ let () =
             test_tie_breaking_lex_first;
           Alcotest.test_case "pruning pays and preserves" `Slow
             test_pruning_pays;
+          Alcotest.test_case "bounds pinned bit for bit" `Quick
+            test_bounds_pinned;
           Alcotest.test_case "scan reports no nodes" `Quick
             test_reports_no_nodes;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])

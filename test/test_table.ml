@@ -123,7 +123,21 @@ let prop_table_per_layer_scalars =
              = Engine.Ce.average_utilization ce
                  (Cnn.Model.layers_in_range model ~first ~last:(n - 1))
       done;
-      !ok)
+      (* Shape ids: equal exactly when the extents are, numbered densely
+         in order of first appearance. *)
+      let next = ref 0 in
+      for i = 0 to n - 1 do
+        let s = Cnn.Table.shape_id t i in
+        if s = !next then incr next;
+        ok := !ok && s < !next;
+        for j = 0 to i - 1 do
+          ok :=
+            !ok
+            && (Cnn.Table.shape_id t j = s)
+               = (Cnn.Table.extents t j = Cnn.Table.extents t i)
+        done
+      done;
+      !ok && Cnn.Table.num_shapes t = !next)
 
 (* ------------------------------------------------------ Util.Parallel *)
 
