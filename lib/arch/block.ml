@@ -62,12 +62,24 @@ let arch ~name ~style ~blocks ~coarse_pipelined ~num_layers =
 
 let num_blocks a = List.length a.blocks
 
+(* Blocks nearly always take ascending, disjoint CE ranges, whose sizes
+   simply add up; only other layouts pay for a distinct count. *)
 let total_ces a =
-  let module IS = Set.Make (Int) in
-  List.fold_left
-    (fun acc b -> List.fold_left (fun s ce -> IS.add ce s) acc (ces_of_block b))
-    IS.empty a.blocks
-  |> IS.cardinal
+  let rec ascending next acc = function
+    | [] -> Some acc
+    | b :: rest ->
+      let lo, hi =
+        match b with
+        | Single { ce; _ } -> (ce, ce)
+        | Pipelined { ce_first; ce_last; _ } -> (ce_first, ce_last)
+      in
+      if lo < next then None else ascending (hi + 1) (acc + hi - lo + 1) rest
+  in
+  match ascending 0 0 a.blocks with
+  | Some n -> n
+  | None ->
+    List.length
+      (List.sort_uniq Int.compare (List.concat_map ces_of_block a.blocks))
 
 let style_to_string = function
   | Segmented -> "Segmented"

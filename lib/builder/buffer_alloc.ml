@@ -71,48 +71,18 @@ let weight_stream_granule_elements = 16384
    the engine signatures; the greedy passes that later mutate the floor
    stay per-architecture and uncached. *)
 
-type engine_sig = {
-  e_pes : int;
-  e_par : int * int * int * int * int * int;
-  e_df : Engine.Dataflow.t;
-}
-
-let engine_sig (e : Engine.Ce.t) =
-  let f d = Engine.Parallelism.factor e.Engine.Ce.parallelism d in
-  {
-    e_pes = e.Engine.Ce.pes;
-    e_par =
-      ( f Engine.Parallelism.Filters,
-        f Engine.Parallelism.Channels,
-        f Engine.Parallelism.Height,
-        f Engine.Parallelism.Width,
-        f Engine.Parallelism.Kernel_h,
-        f Engine.Parallelism.Kernel_w );
-    e_df = e.Engine.Ce.dataflow;
-  }
-
-let fp_engine_sig h s =
-  let a, b, c, d, e, f = s.e_par in
-  let h = Util.Fingerprint.int h s.e_pes in
-  let h = List.fold_left Util.Fingerprint.int h [ a; b; c; d; e; f ] in
-  Util.Fingerprint.int h
-    (match s.e_df with
-    | Engine.Dataflow.Weight_stationary -> 0
-    | Engine.Dataflow.Output_stationary -> 1
-    | Engine.Dataflow.Input_stationary -> 2)
-
 type block_key = {
   k_fp : int;
   k_first : int;
   k_last : int;
-  k_engs : engine_sig array;
+  k_engs : Engine.Ce.signature array;
 }
 
 let block_key ~first ~last engs =
   let h = Util.Fingerprint.empty in
   let h = Util.Fingerprint.int h first in
   let h = Util.Fingerprint.int h last in
-  let h = Util.Fingerprint.array fp_engine_sig h engs in
+  let h = Util.Fingerprint.array Engine.Ce.fp_signature h engs in
   { k_fp = Util.Fingerprint.to_int h; k_first = first; k_last = last;
     k_engs = engs }
 
@@ -215,7 +185,7 @@ let plan ?(minimal = false) ?cache ~table board archi ~engines =
       memo_block
         (fun c -> c.singles)
         cache
-        (block_key ~first ~last [| engine_sig engine |])
+        (block_key ~first ~last [| engine.Engine.Ce.signature |])
         (fun () ->
           let wt = ref 1 and mf = ref 1 in
           for i = first to last do
@@ -387,7 +357,8 @@ let plan ?(minimal = false) ?cache ~table board archi ~engines =
       memo_block
         (fun c -> c.pipes)
         cache
-        (block_key ~first ~last (Array.map engine_sig engs))
+        (block_key ~first ~last
+           (Array.map (fun e -> e.Engine.Ce.signature) engs))
         (pipe_floor ~engs ~first ~last)
     in
     (* The greedy passes mutate rows/tiles in place; the cached floor must
@@ -468,73 +439,115 @@ let plan ?(minimal = false) ?cache ~table board archi ~engines =
           end)
       work;
     let leftover = ref (bram - total ()) in
-    (* Retention candidates: (tiles, weight bytes, ordinal, block, layer). *)
-    let candidates =
-      let acc = ref [] and ord = ref 0 in
-      Array.iter
-        (function
-          | Wsingle _ -> ()
-          | Wpipe p ->
-            Array.iteri
-              (fun i rows ->
-                let tiles = cd (out_h_at (p.p_first + i)) rows * p.p_ws in
-                incr ord;
-                acc := (tiles, weight_bytes (p.p_first + i), !ord, p, i) :: !acc)
-              p.p_rows)
-        work;
-      List.rev !acc
+    (* Retention candidates: every layer of every pipelined block,
+       numbered in block order, then layer order. *)
+    let nc =
+      Array.fold_left
+        (fun n -> function
+          | Wsingle _ -> n
+          | Wpipe p -> n + Array.length p.p_rows)
+        0 work
     in
-    let retain_pass keep order_cmp =
-      List.iter
-        (fun (_, w, _, p, i) ->
-          if (not p.p_retained.(i)) && w <= !leftover then begin
-            p.p_retained.(i) <- true;
-            leftover := !leftover - w
-          end)
-        (List.sort order_cmp (List.filter keep candidates))
+    let c_pipe = Array.make nc 0 and c_layer = Array.make nc 0 in
+    let c_tiles = Array.make nc 0 and c_w = Array.make nc 0 in
+    let k = ref 0 in
+    Array.iteri
+      (fun b -> function
+        | Wsingle _ -> ()
+        | Wpipe p ->
+          Array.iteri
+            (fun i rows ->
+              c_pipe.(!k) <- b;
+              c_layer.(!k) <- i;
+              c_tiles.(!k) <- cd (out_h_at (p.p_first + i)) rows * p.p_ws;
+              c_w.(!k) <- weight_bytes (p.p_first + i);
+              incr k)
+            p.p_rows)
+      work;
+    let pipe k =
+      match work.(c_pipe.(k)) with Wpipe p -> p | Wsingle _ -> assert false
+    in
+    let retained k = (pipe k).p_retained.(c_layer.(k)) in
+    (* Offer the [keep] candidates in [before] order, ties by number:
+       an insertion sort over candidate numbers taken in ascending
+       order keeps equal ones in that order. *)
+    let order = Array.make nc 0 in
+    let retain_pass keep before =
+      let m = ref 0 in
+      for k = 0 to nc - 1 do
+        if keep k then begin
+          let j = ref !m in
+          while !j > 0 && before k order.(!j - 1) do
+            order.(!j) <- order.(!j - 1);
+            decr j
+          done;
+          order.(!j) <- k;
+          incr m
+        end
+      done;
+      for x = 0 to !m - 1 do
+        let k = order.(x) in
+        if (not (retained k)) && c_w.(k) <= !leftover then begin
+          (pipe k).p_retained.(c_layer.(k)) <- true;
+          leftover := !leftover - c_w.(k)
+        end
+      done
     in
     (* 1. Retain multi-tile weights: most re-fetches avoided per byte
        first (Eq. 7 streams a layer's weights once per tile). *)
     retain_pass
-      (fun (tiles, _, _, _, _) -> tiles > 1)
-      (fun (t1, w1, o1, _, _) (t2, w2, o2, _, _) ->
-        match compare t2 t1 with
-        | 0 -> ( match compare w2 w1 with 0 -> compare o1 o2 | c -> c)
-        | c -> c);
+      (fun k -> c_tiles.(k) > 1)
+      (fun k l ->
+        c_tiles.(k) > c_tiles.(l)
+        || (c_tiles.(k) = c_tiles.(l) && c_w.(k) > c_w.(l)));
     (* 2. Grow single-CE FM capacities toward their ideals, proportional
        to each block's deficit. *)
-    let singles =
-      Array.to_list work
-      |> List.filter_map (function Wsingle b -> Some b | Wpipe _ -> None)
-    in
     let deficit b = b.s_fm_ideal - b.s_fm_cap in
-    let sumd = List.fold_left (fun a b -> a + deficit b) 0 singles in
+    let sumd =
+      Array.fold_left
+        (fun a -> function Wsingle b -> a + deficit b | Wpipe _ -> a)
+        0 work
+    in
     if sumd > 0 && !leftover > 0 then
       if sumd <= !leftover then begin
-        List.iter (fun b -> b.s_fm_cap <- b.s_fm_ideal) singles;
+        Array.iter
+          (function Wsingle b -> b.s_fm_cap <- b.s_fm_ideal | Wpipe _ -> ())
+          work;
         leftover := !leftover - sumd
       end
       else begin
-        let share = List.map (fun b -> (b, !leftover * deficit b / sumd)) singles in
-        let slack =
-          !leftover - List.fold_left (fun a (_, g) -> a + g) 0 share
-        in
-        let by_remainder =
-          List.sort
-            (fun (b1, g1) (b2, g2) ->
-              compare
-                ((!leftover * deficit b2) - (g2 * sumd))
-                ((!leftover * deficit b1) - (g1 * sumd)))
-            share
-        in
-        let slack = ref slack in
-        List.iter
-          (fun (b, g) ->
+        (* Proportional grants, then one more byte each to the largest
+           remainders (ties in block order) while the slack lasts. *)
+        let grant = Array.make nb 0 and rem = Array.make nb 0 in
+        let slack = ref !leftover in
+        let by_rem = Array.make nb 0 and m = ref 0 in
+        Array.iteri
+          (fun bi -> function
+            | Wpipe _ -> ()
+            | Wsingle b ->
+              let g = !leftover * deficit b / sumd in
+              grant.(bi) <- g;
+              rem.(bi) <- (!leftover * deficit b) - (g * sumd);
+              slack := !slack - g;
+              let j = ref !m in
+              while !j > 0 && rem.(bi) > rem.(by_rem.(!j - 1)) do
+                by_rem.(!j) <- by_rem.(!j - 1);
+                decr j
+              done;
+              by_rem.(!j) <- bi;
+              incr m)
+          work;
+        for x = 0 to !m - 1 do
+          let bi = by_rem.(x) in
+          match work.(bi) with
+          | Wpipe _ -> ()
+          | Wsingle b ->
+            let g = grant.(bi) in
             let g =
               if !slack > 0 && g < deficit b then (decr slack; g + 1) else g
             in
-            b.s_fm_cap <- b.s_fm_cap + g)
-          by_remainder;
+            b.s_fm_cap <- b.s_fm_cap + g
+        done;
         leftover := 0
       end;
     (* 3. Inter-segment double buffers (Eq. 8), left to right. *)
@@ -548,10 +561,7 @@ let plan ?(minimal = false) ?cache ~table board archi ~engines =
       inter_bytes;
     (* 4. Retain whatever streamed weights still fit (single-tile layers
        cost no extra traffic but avoid the per-image staging round trip). *)
-    retain_pass
-      (fun (_, _, _, p, i) -> not p.p_retained.(i))
-      (fun (_, w1, o1, _, _) (_, w2, o2, _, _) ->
-        match compare w2 w1 with 0 -> compare o1 o2 | c -> c);
+    retain_pass (fun k -> not (retained k)) (fun k l -> c_w.(k) > c_w.(l));
     Array.iter (function Wpipe p -> restage p | Wsingle _ -> ()) work
   end;
   let block_plans =

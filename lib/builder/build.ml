@@ -33,32 +33,68 @@ let naive_parallelism pes =
   done;
   Engine.Parallelism.three_d ~filters:!s ~height:!s ~width:!s
 
+(* A CE's layer assignment: it runs layers [first + slot],
+   [first + slot + step], ... up to [last].  A single-CE block is slot 0
+   of step 1; slot [s] of a pipelined block of [n] CEs has step [n]
+   ({!Workload.slot_layers}). *)
+type assignment = {
+  first : int;
+  last : int;
+  slot : int;
+  step : int;
+  pipelined : bool;
+}
+
 (* Build-time memo shared across calls scoped to one (model, board,
    options) triple by its owner ({!Mccm.Eval_session}): the
    {!Buffer_alloc} planning floors, plus the parallelism chosen for a
    CE's layer assignment.  The parallelism key is the assignment's
-   descriptor — (kind, block first/last, slot, slot count, PE count) —
-   which fully determines the layer list, so the per-call construction
-   of the layers and {!Parallelism_select}'s search are skipped
-   entirely on a hit.  Only the chosen {!Engine.Parallelism.t}
-   is cached; the {!Engine.Ce.t} is rebuilt per call so display ids
-   stay correct. *)
+   (first, last, slot, step) with the CE's PE count, which fully
+   determines the search's input, so the layer list is built and
+   {!Parallelism_select}'s search run only on a miss.  Only the chosen
+   {!Engine.Parallelism.t} is cached; the {!Engine.Ce.t} is rebuilt per
+   call so display ids stay correct. *)
+type par_key = {
+  k_first : int;
+  k_last : int;
+  k_slot : int;
+  k_step : int;
+  k_pes : int;
+}
+
+module Par_tbl = Hashtbl.Make (struct
+  type t = par_key
+
+  let equal a b =
+    a.k_first = b.k_first && a.k_last = b.k_last && a.k_slot = b.k_slot
+    && a.k_step = b.k_step && a.k_pes = b.k_pes
+
+  let hash k =
+    let module Fp = Util.Fingerprint in
+    let h = Fp.int Fp.empty k.k_first in
+    let h = Fp.int h k.k_last in
+    let h = Fp.int h k.k_slot in
+    let h = Fp.int h k.k_step in
+    Fp.to_int (Fp.int h k.k_pes)
+end)
+
 type cache = {
   c_plans : Buffer_alloc.cache;
-  c_pars : (int * int * int * int * int * int, Engine.Parallelism.t) Hashtbl.t;
+  c_pars : Engine.Parallelism.t Par_tbl.t;
 }
 
 let create_cache () =
-  { c_plans = Buffer_alloc.create_cache (); c_pars = Hashtbl.create 64 }
+  { c_plans = Buffer_alloc.create_cache (); c_pars = Par_tbl.create 64 }
 
 let copy_cache c =
   { c_plans = Buffer_alloc.copy_cache c.c_plans;
-    c_pars = Hashtbl.copy c.c_pars }
+    c_pars = Par_tbl.copy c.c_pars }
 
 let absorb_cache ~into c =
   Buffer_alloc.absorb_cache ~into:into.c_plans c.c_plans;
-  Hashtbl.iter
-    (fun k v -> if not (Hashtbl.mem into.c_pars k) then Hashtbl.add into.c_pars k v)
+  Par_tbl.iter
+    (fun k v ->
+      if not (Par_tbl.mem into.c_pars k) then Par_tbl.add into.c_pars k v)
     c.c_pars
 
 let plan_cache c = c.c_plans
@@ -71,28 +107,32 @@ let build ?(options = default_options) ?cache ~table model board archi =
   Cnn.Table.check table model;
   let blocks = Array.of_list archi.Arch.Block.blocks in
   let num_ces = Arch.Block.total_ces archi in
-  let layer_lists = Array.make num_ces [] in
-  let in_pipeline = Array.make num_ces false in
-  (* Per-CE assignment descriptor, the parallelism-memo key prefix. *)
-  let desc = Array.make num_ces (0, 0, 0, 0, 0) in
+  let assign =
+    Array.make num_ces
+      { first = 0; last = -1; slot = 0; step = 1; pipelined = false }
+  in
   Array.iter
     (function
       | Arch.Block.Single { ce; first; last } ->
-        layer_lists.(ce) <- List.init (last - first + 1) (fun k -> first + k);
-        desc.(ce) <- (0, first, last, 0, 1)
+        assign.(ce) <- { first; last; slot = 0; step = 1; pipelined = false }
       | Arch.Block.Pipelined { ce_first; ce_last; first; last } ->
-        let ces = ce_last - ce_first + 1 in
-        let slots = Workload.pipelined_assignment ~ces ~first ~last in
-        Array.iteri
-          (fun s ls ->
-            layer_lists.(ce_first + s) <- ls;
-            in_pipeline.(ce_first + s) <- true;
-            desc.(ce_first + s) <- (1, first, last, s, ces))
-          slots)
+        let step = ce_last - ce_first + 1 in
+        for slot = 0 to step - 1 do
+          assign.(ce_first + slot) <-
+            { first; last; slot; step; pipelined = true }
+        done)
     blocks;
-  let macs_of ls = List.fold_left (fun a i -> a + Cnn.Table.macs table i) 0 ls in
+  let layers a =
+    Workload.slot_layers ~ces:a.step ~first:a.first ~last:a.last ~slot:a.slot
+  in
+  (* Folds [f] over the layers of an assignment, in layer order. *)
+  let fold_layers f acc a =
+    let rec go i acc = if i > a.last then acc else go (i + a.step) (f acc i) in
+    go (a.first + a.slot) acc
+  in
   let make_engines pes =
     Array.init num_ces (fun ce ->
+        let a = assign.(ce) in
         let parallelism =
           match options.parallelism with
           | `Naive -> naive_parallelism pes.(ce)
@@ -101,26 +141,36 @@ let build ?(options = default_options) ?cache ~table model board archi =
               Mccm_obs.span ~cat:"build" "build.parallelism_select"
                 (fun () ->
                   Parallelism_select.choose_indices ~pes:pes.(ce) table
-                    layer_lists.(ce))
+                    (layers a))
             in
             match cache with
             | None -> compute ()
             | Some c -> (
-              let kind, first, last, slot, ces = desc.(ce) in
-              let key = (kind, first, last, slot, ces, pes.(ce)) in
-              match Hashtbl.find_opt c.c_pars key with
+              let key =
+                { k_first = a.first; k_last = a.last; k_slot = a.slot;
+                  k_step = a.step; k_pes = pes.(ce) }
+              in
+              match Par_tbl.find_opt c.c_pars key with
               | Some p -> p
               | None ->
                 let p = compute () in
-                Hashtbl.add c.c_pars key p;
+                Par_tbl.add c.c_pars key p;
                 p))
         in
         Engine.Ce.v ~id:(ce + 1) ~pes:pes.(ce) ~parallelism
           ~dataflow:
-            (if in_pipeline.(ce) then Engine.Dataflow.Weight_stationary
+            (if a.pipelined then Engine.Dataflow.Weight_stationary
              else Engine.Dataflow.Output_stationary))
   in
-  let workloads = Array.map macs_of layer_lists in
+  let workloads =
+    Array.map
+      (fun a ->
+        if a.last < a.first + a.slot then 0
+        else if a.step = 1 then
+          Cnn.Table.macs_range table ~first:a.first ~last:a.last
+        else fold_layers (fun s i -> s + Cnn.Table.macs table i) 0 a)
+      assign
+  in
   let engines =
     ref
       (make_engines
@@ -135,9 +185,9 @@ let build ?(options = default_options) ?cache ~table model board archi =
        redistribution only while the busiest/laziest spread shrinks. *)
     let cycles es =
       Array.init num_ces (fun ce ->
-          List.fold_left
-            (fun a i -> a + Engine.Ce.layer_cycles_at es.(ce) table i)
-            0 layer_lists.(ce))
+          fold_layers
+            (fun s i -> s + Engine.Ce.layer_cycles_at es.(ce) table i)
+            0 assign.(ce))
     in
     let spread cyc =
       let busiest = Array.fold_left max 1 cyc in

@@ -35,14 +35,21 @@ let distribute ~budget ~workloads =
     let spare = budget - n in
     let extra = Array.map (fun w -> spare * w / wsum) weights in
     let leftover = spare - Array.fold_left ( + ) 0 extra in
-    let idx = Array.init n Fun.id in
-    let remainder i = (spare * weights.(i)) - (extra.(i) * wsum) in
-    Array.sort
-      (fun a b ->
-        match compare (remainder b) (remainder a) with
-        | 0 -> compare a b
-        | c -> c)
-      idx;
+    (* Leftover PEs go to the largest remainders, ties to the lower
+       index: insert indices in ascending order, each after every
+       remainder at least as large. *)
+    let rem =
+      Array.init n (fun i -> (spare * weights.(i)) - (extra.(i) * wsum))
+    in
+    let idx = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let j = ref i in
+      while !j > 0 && rem.(i) > rem.(idx.(!j - 1)) do
+        idx.(!j) <- idx.(!j - 1);
+        decr j
+      done;
+      idx.(!j) <- i
+    done;
     for k = 0 to leftover - 1 do
       let i = idx.(k) in
       extra.(i) <- extra.(i) + 1

@@ -1,7 +1,4 @@
-let pipelined_assignment ~ces ~first ~last =
-  if ces < 1 then invalid_arg "Workload.pipelined_assignment: ces < 1";
-  if last < first then
-    invalid_arg "Workload.pipelined_assignment: empty layer range";
-  Array.init ces (fun s ->
-      let rec collect i = if i > last then [] else i :: collect (i + ces) in
-      collect (first + s))
+let slot_layers ~ces ~first ~last ~slot =
+  if ces < 1 then invalid_arg "Workload.slot_layers: ces < 1";
+  let rec collect i = if i > last then [] else i :: collect (i + ces) in
+  collect (first + slot)

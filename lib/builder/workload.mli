@@ -1,9 +1,12 @@
 (** Layer-to-engine assignment inside a pipelined block. *)
 
-val pipelined_assignment : ces:int -> first:int -> last:int -> int list array
-(** [pipelined_assignment ~ces ~first ~last] assigns the layer indices
-    [first..last] to [ces] engines round-robin: engine slot [s] runs
-    layers [first+s, first+s+ces, first+s+2*ces, ...].  Slot lists are
-    in ascending layer order; slots beyond the layer count are empty.
+val slot_layers : ces:int -> first:int -> last:int -> slot:int -> int list
+(** [slot_layers ~ces ~first ~last ~slot] is the layers engine slot
+    [slot] of a [ces]-engine pipelined block over [first..last] runs:
+    the layers are assigned round-robin, so slot [s] runs
+    [first+s, first+s+ces, first+s+2*ces, ...] up to [last], in
+    ascending order, and a slot beyond the layer count runs none.  With
+    [~ces:1] and [~slot:0] it is [first..last], a single-CE block's
+    layers.
 
-    @raise Invalid_argument if [ces < 1] or [last < first]. *)
+    @raise Invalid_argument if [ces < 1]. *)

@@ -6,6 +6,7 @@ let c_steps = Mccm_obs.Metric.counter "dse.local_search.steps"
 let c_exhaustive = Mccm_obs.Metric.counter "dse.exhaustive.specs"
 let c_evaluated = Mccm_obs.Metric.counter "dse.exhaustive.evaluated"
 let c_pruned = Mccm_obs.Metric.counter "dse.exhaustive.pruned"
+let c_cut = Mccm_obs.Metric.counter "dse.exhaustive.cut"
 let c_ls_pruned = Mccm_obs.Metric.counter "dse.local_search.pruned"
 let g_best_objective = Mccm_obs.Metric.gauge "dse.best_objective"
 
@@ -129,7 +130,15 @@ let better a b =
    incumbent and keeps its own, so its output depends only on its rows;
    the round's chunk winners merge by (score, rank) into the next
    round's incumbent.  Without pruning every bound is [infinity] and
-   the order stays enumeration order. *)
+   the order stays enumeration order.
+
+   With pruning, a visited row that cannot beat the incumbent may still
+   be decided without running the cost model: its design is built, and
+   the blocks the session's segment cache already holds are enough
+   when they prove its score strictly below the incumbent's
+   ({!Mccm.Eval_session.metrics_unless_beaten}).  Such a row still
+   counts as evaluated: the early exit changes how a row is decided,
+   never which rows are visited. *)
 let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
     ?(prune = true) ~objective ~ces model board =
   Mccm_obs.span ~cat:"dse" "dse.exhaustive_best" @@ fun () ->
@@ -161,20 +170,28 @@ let exhaustive_best ?(max_specs = 20000) ?session ?(domains = 1) ?clamp ?pool
         | Some inc when bound.(r) = inc.score && r > inc.rank ->
           incr pruned;
           go (p + 1)
-        | _ ->
+        | inc ->
           incr evaluated;
           let spec = Space.Flat.decode buf ~width r in
-          let m =
-            Mccm.Eval_session.metrics ~store_arch:false session
-              (Arch.Custom.arch_of_spec model spec)
+          let archi = Arch.Custom.arch_of_spec model spec in
+          let metrics =
+            match inc with
+            | Some inc when prune ->
+              Mccm.Eval_session.metrics_unless_beaten session ~objective
+                ~cutoff:inc.score archi
+            | _ ->
+              Some (Mccm.Eval_session.metrics ~store_arch:false session archi)
           in
-          let s = score m in
-          if s > neg_infinity then
-            best :=
-              better !best
-                (Some
-                   { design = { Explore.spec; metrics = m }; score = s;
-                     rank = r });
+          (match metrics with
+           | None -> Mccm_obs.Metric.incr c_cut
+           | Some m ->
+             let s = score m in
+             if s > neg_infinity then
+               best :=
+                 better !best
+                   (Some
+                      { design = { Explore.spec; metrics = m }; score = s;
+                        rank = r }));
           go (p + 1)
       end
     in

@@ -1,15 +1,47 @@
+(* Content signature: the fields a memo key needs, flattened to ints so
+   that hashing one allocates nothing.  Built once per engine, since
+   every memo lookup of a build and an evaluation reads it. *)
+type signature = {
+  s_pes : int;
+  s_filters : int;
+  s_channels : int;
+  s_height : int;
+  s_width : int;
+  s_kernel_h : int;
+  s_kernel_w : int;
+  s_dataflow : int;
+}
+
 type t = {
   id : int;
   pes : int;
   parallelism : Parallelism.t;
   dataflow : Dataflow.t;
+  signature : signature;
 }
 
 let v ~id ~pes ~parallelism ~dataflow =
   if pes <= 0 then invalid_arg "Engine.v: non-positive PE count";
   if Parallelism.degree parallelism > pes then
     invalid_arg "Engine.v: parallelism degree exceeds PE budget";
-  { id; pes; parallelism; dataflow }
+  let f d = Parallelism.factor parallelism d in
+  let signature =
+    {
+      s_pes = pes;
+      s_filters = f Parallelism.Filters;
+      s_channels = f Parallelism.Channels;
+      s_height = f Parallelism.Height;
+      s_width = f Parallelism.Width;
+      s_kernel_h = f Parallelism.Kernel_h;
+      s_kernel_w = f Parallelism.Kernel_w;
+      s_dataflow =
+        (match dataflow with
+        | Dataflow.Weight_stationary -> 0
+        | Dataflow.Output_stationary -> 1
+        | Dataflow.Input_stationary -> 2);
+    }
+  in
+  { id; pes; parallelism; dataflow; signature }
 
 (* Eq. 1: one ceil-division term per convolution loop dimension. *)
 let cycles_with_extents t extents =
@@ -105,6 +137,17 @@ let average_utilization_at t tbl ~first ~last =
     total := !total +. m
   done;
   !weighted /. !total
+
+let fp_signature h s =
+  let module Fp = Util.Fingerprint in
+  let h = Fp.int h s.s_pes in
+  let h = Fp.int h s.s_filters in
+  let h = Fp.int h s.s_channels in
+  let h = Fp.int h s.s_height in
+  let h = Fp.int h s.s_width in
+  let h = Fp.int h s.s_kernel_h in
+  let h = Fp.int h s.s_kernel_w in
+  Fp.int h s.s_dataflow
 
 let pp ppf t =
   Format.fprintf ppf "CE%d[%d PEs, %a, %a]" t.id t.pes Parallelism.pp

@@ -10,11 +10,28 @@
     underutilization comes from: an engine whose factors do not divide a
     layer's loop extents wastes PEs on the ragged edges. *)
 
+(** Everything the cost models read of an engine: its PE count, its six
+    parallelism factors and its dataflow — all but the display-only
+    [id].  The memo keys of {!Builder.Buffer_alloc} (planning floors)
+    and {!Mccm.Seg_cache} (segment results) carry signatures, so engines
+    that differ only in id share entries. *)
+type signature = private {
+  s_pes : int;
+  s_filters : int;
+  s_channels : int;
+  s_height : int;
+  s_width : int;
+  s_kernel_h : int;
+  s_kernel_w : int;
+  s_dataflow : int;  (** 0 WS, 1 OS, 2 IS *)
+}
+
 type t = private {
   id : int;                      (** 1-based, unique within an accelerator *)
   pes : int;                     (** PE (DSP) budget of this engine *)
   parallelism : Parallelism.t;
   dataflow : Dataflow.t;
+  signature : signature;         (** derived from the fields above by {!v} *)
 }
 
 val v : id:int -> pes:int -> parallelism:Parallelism.t -> dataflow:Dataflow.t -> t
@@ -46,6 +63,11 @@ val average_utilization : t -> Cnn.Layer.t list -> float
 
 val pp : Format.formatter -> t -> unit
 (** e.g. ["CE3[256 PEs, F16xH4xW4, OS]"]. *)
+
+val fp_signature : Util.Fingerprint.t -> signature -> Util.Fingerprint.t
+(** Folds every field of a signature into a fingerprint, allocating
+    nothing.  Memo keys pair it with the signature itself and compare
+    keys structurally, so a hash collision never aliases two keys. *)
 
 (** {1 Table-indexed fast path}
 

@@ -109,32 +109,54 @@ let board t = t.board
 let memoized t = t.memoize
 let table t = t.table
 
-let evaluate ?(store_arch = true) t archi =
+let count_eval t =
   t.n_evals <- t.n_evals + 1;
-  Mccm_obs.Metric.incr c_evals;
-  if not t.memoize then
-    Evaluate.run ~table:t.table
-      (Builder.Build.build ~options:t.options ~table:t.table t.model t.board
-         archi)
+  Mccm_obs.Metric.incr c_evals
+
+(* On an arch-table miss, [skip] sees the built design first; a design
+   it skips is neither evaluated nor counted. *)
+let evaluate_unless ~store_arch ~skip t archi =
+  if not t.memoize then begin
+    count_eval t;
+    Some
+      (Evaluate.run ~table:t.table
+         (Builder.Build.build ~options:t.options ~table:t.table t.model
+            t.board archi))
+  end
   else begin
     let key = arch_key archi in
     match Arch_tbl.find_opt t.archs key with
     | Some e ->
+      count_eval t;
       t.n_arch_hits <- t.n_arch_hits + 1;
       Mccm_obs.Metric.incr c_arch_hit;
-      e
+      Some e
     | None ->
-      Mccm_obs.Metric.incr c_arch_miss;
       let built =
         Builder.Build.build ~options:t.options ~cache:t.bcache ~table:t.table
           t.model t.board archi
       in
-      let e = Evaluate.run ~cache:t.seg ~table:t.table built in
-      if store_arch then Arch_tbl.add t.archs key e;
-      e
+      if skip built then None
+      else begin
+        count_eval t;
+        Mccm_obs.Metric.incr c_arch_miss;
+        let e = Evaluate.run ~cache:t.seg ~table:t.table built in
+        if store_arch then Arch_tbl.add t.archs key e;
+        Some e
+      end
   end
 
+let evaluate ?(store_arch = true) t archi =
+  Option.get (evaluate_unless ~store_arch ~skip:(fun _ -> false) t archi)
+
 let metrics ?store_arch t archi = (evaluate ?store_arch t archi).Evaluate.metrics
+
+let metrics_unless_beaten t ~objective ~cutoff archi =
+  Option.map
+    (fun e -> e.Evaluate.metrics)
+    (evaluate_unless ~store_arch:false
+       ~skip:(Evaluate.loses ~cache:t.seg ~objective ~cutoff)
+       t archi)
 
 let metrics_batch ?store_arch t archis = List.map (metrics ?store_arch t) archis
 

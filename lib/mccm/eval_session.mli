@@ -65,6 +65,23 @@ val evaluate : ?store_arch:bool -> t -> Arch.Block.arch -> Evaluate.t
 val metrics : ?store_arch:bool -> t -> Arch.Block.arch -> Metrics.t
 (** [(evaluate t archi).metrics]. *)
 
+val metrics_unless_beaten :
+  t ->
+  objective:[ `Throughput | `Latency ] ->
+  cutoff:float ->
+  Arch.Block.arch ->
+  Metrics.t option
+(** [metrics_unless_beaten t ~objective ~cutoff archi] is
+    [Some (metrics ~store_arch:false t archi)], or [None] when the
+    design provably scores strictly below [cutoff] — throughput, or
+    minus the latency — or is infeasible.  On a whole-architecture miss
+    the design is built through the session's build cache and
+    {!Evaluate.loses} probes the segment cache for the blocks it already
+    holds; a design it rules out is never run and counts as no
+    evaluation.  Exact: a design scoring at or above [cutoff] always
+    gets [Some], bit-identical to {!metrics}.  An uncached session
+    ([~memoize:false]) rules nothing out. *)
+
 val metrics_batch :
   ?store_arch:bool -> t -> Arch.Block.arch list -> Metrics.t list
 (** [metrics_batch t archis] evaluates the candidates in order within

@@ -68,6 +68,12 @@ let block_buffer_bytes ~table (built : Builder.Build.t) ~index =
   in
   base + inter
 
+(* Segment labels "seg1", "seg2", ... are read from this table, so an
+   evaluation formats none; past its end they are built on demand. *)
+let label_of k = "seg" ^ Int.to_string k
+let labels = Array.init 64 (fun i -> label_of (i + 1))
+let label k = if k <= Array.length labels then labels.(k - 1) else label_of k
+
 let eval_block ?cache ~table (built : Builder.Build.t) ~index ~segment_counter
     =
   let board = built.Builder.Build.board in
@@ -78,7 +84,7 @@ let eval_block ?cache ~table (built : Builder.Build.t) ~index ~segment_counter
   in
   let next_label () =
     incr segment_counter;
-    Printf.sprintf "seg%d" !segment_counter
+    label !segment_counter
   in
   match
     (built.Builder.Build.blocks.(index),
@@ -177,6 +183,73 @@ let eval_block ?cache ~table (built : Builder.Build.t) ~index ~segment_counter
   | Builder.Build.Built_single _, Builder.Buffer_alloc.Plan_pipelined _
   | Builder.Build.Built_pipelined _, Builder.Buffer_alloc.Plan_single _ ->
     assert false
+
+(* The probe bounds what [run] would compute from the blocks [cache]
+   already holds, visited in block order.  [run]'s initiation interval
+   is a [Float.max] over every block's ii (coarse pipelining, or a lone
+   block) or the in-order sum of every block's latency (a serial
+   schedule), raised further by the memory term; its latency is the
+   in-order sum.  Rounded addition of non-negative terms is monotone,
+   so a sum over the cached blocks alone never exceeds the full one, and
+   a max over them never exceeds the full max.  Hence a cached ii bound
+   [b] gives throughput [1 /. ii <= 1 /. b], and a cached latency sum
+   gives a latency at least as large: a strict comparison against the
+   cutoff is exact. *)
+let loses ~cache ~objective ~cutoff (built : Builder.Build.t) =
+  let plan = built.Builder.Build.plan in
+  (not plan.Builder.Buffer_alloc.feasible)
+  ||
+  let num_blocks = Array.length built.Builder.Build.blocks in
+  let serial =
+    num_blocks > 1 && not built.Builder.Build.archi.Arch.Block.coarse_pipelined
+  in
+  let ii = ref 0.0 and latency = ref 0.0 in
+  let rec probe index =
+    index < num_blocks
+    &&
+    let input_on_chip, output_on_chip =
+      boundary_flags plan ~num_blocks ~index
+    in
+    let cached =
+      match
+        (built.Builder.Build.blocks.(index),
+         plan.Builder.Buffer_alloc.block_plans.(index))
+      with
+      | ( Builder.Build.Built_single { engine; first; last },
+          Builder.Buffer_alloc.Plan_single splan ) -> (
+        match
+          Seg_cache.find_single cache ~engine
+            ~cap:splan.Builder.Buffer_alloc.fm_capacity_bytes ~first ~last
+            ~input_on_chip ~output_on_chip
+        with
+        | Some r ->
+          ii := Float.max !ii r.Single_ce_model.latency_s;
+          latency := !latency +. r.Single_ce_model.latency_s;
+          true
+        | None -> false)
+      | ( Builder.Build.Built_pipelined { engines; first; last; _ },
+          Builder.Buffer_alloc.Plan_pipelined pplan ) -> (
+        match
+          Seg_cache.find_pipelined cache ~engines ~plan:pplan ~first ~last
+            ~input_on_chip ~output_on_chip
+        with
+        | Some r ->
+          ii := Float.max !ii r.Pipelined_model.bottleneck_s;
+          latency := !latency +. r.Pipelined_model.latency_s;
+          true
+        | None -> false)
+      | Builder.Build.Built_single _, Builder.Buffer_alloc.Plan_pipelined _
+      | Builder.Build.Built_pipelined _, Builder.Buffer_alloc.Plan_single _ ->
+        assert false
+    in
+    (cached
+    &&
+    match objective with
+    | `Throughput -> 1.0 /. (if serial then !latency else !ii) < cutoff
+    | `Latency -> !latency > -.cutoff)
+    || probe (index + 1)
+  in
+  probe 0
 
 let run ?cache ~table (built : Builder.Build.t) =
   Mccm_obs.span ~cat:"mccm" "eval.run" @@ fun () ->

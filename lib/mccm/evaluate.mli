@@ -57,6 +57,22 @@ val run : ?cache:Seg_cache.t -> table:Cnn.Table.t -> Builder.Build.t -> t
     {!Eval_session} instead of passing a cache directly.
     @raise Invalid_argument if [table] was built from another model. *)
 
+val loses :
+  cache:Seg_cache.t ->
+  objective:[ `Throughput | `Latency ] ->
+  cutoff:float ->
+  Builder.Build.t ->
+  bool
+(** [loses ~cache ~objective ~cutoff built] is [true] only when [built]'s
+    plan is infeasible, or when the blocks whose results [cache] already
+    holds prove that {!run} would give a score strictly below [cutoff]:
+    throughput, or minus the latency.  It probes the cache
+    ({!Seg_cache.find_single}, {!Seg_cache.find_pipelined}) in block
+    order and stops at the first proof, computing no segment model and
+    counting no hit or miss.  Exact: [false] whenever the score is at or
+    above [cutoff], ties included; [false] also whenever the cached
+    blocks prove nothing. *)
+
 val evaluate : Cnn.Model.t -> Platform.Board.t -> Arch.Block.arch -> t
 (** [evaluate model board archi] builds a {!Cnn.Table}, builds with the
     Multiple-CE Builder and runs the cost model — the methodology's

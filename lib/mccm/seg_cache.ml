@@ -12,37 +12,7 @@
    with the full structural payload (exact equality on lookup), so a
    hash collision only costs a comparison, never correctness. *)
 
-type engine_sig = {
-  pes : int;
-  par : int * int * int * int * int * int;
-  df : int;
-}
-
-let engine_sig (e : Engine.Ce.t) =
-  let f d = Engine.Parallelism.factor e.Engine.Ce.parallelism d in
-  {
-    pes = e.Engine.Ce.pes;
-    par =
-      ( f Engine.Parallelism.Filters,
-        f Engine.Parallelism.Channels,
-        f Engine.Parallelism.Height,
-        f Engine.Parallelism.Width,
-        f Engine.Parallelism.Kernel_h,
-        f Engine.Parallelism.Kernel_w );
-    df =
-      (match e.Engine.Ce.dataflow with
-      | Engine.Dataflow.Weight_stationary -> 0
-      | Engine.Dataflow.Output_stationary -> 1
-      | Engine.Dataflow.Input_stationary -> 2);
-  }
-
 module Fp = Util.Fingerprint
-
-let fp_engine_sig h s =
-  let a, b, c, d, e, f = s.par in
-  let h = Fp.int h s.pes in
-  let h = List.fold_left Fp.int h [ a; b; c; d; e; f ] in
-  Fp.int h s.df
 
 (* The single-CE evaluator reads its plan slice only through
    [fm_capacity_bytes], and is piecewise constant in it — so the key
@@ -56,7 +26,7 @@ type single_key = {
   s_fp : int;
   s_first : int;
   s_last : int;
-  s_eng : engine_sig;
+  s_eng : Engine.Ce.signature;
   s_in : bool;
   s_out : bool;
 }
@@ -65,7 +35,7 @@ let single_key ~eng ~first ~last ~input_on_chip ~output_on_chip =
   let h = Fp.empty in
   let h = Fp.int h first in
   let h = Fp.int h last in
-  let h = fp_engine_sig h eng in
+  let h = Engine.Ce.fp_signature h eng in
   let h = Fp.bool h input_on_chip in
   let h = Fp.bool h output_on_chip in
   { s_fp = Fp.to_int h; s_first = first; s_last = last; s_eng = eng;
@@ -81,7 +51,7 @@ type pipe_key = {
   p_fp : int;
   p_first : int;
   p_last : int;
-  p_engs : engine_sig array;
+  p_engs : Engine.Ce.signature array;
   p_ws : int;
   p_rows : int array;
   p_fm : int array;
@@ -98,7 +68,7 @@ let pipe_key ~engs ~plan ~first ~last ~input_on_chip ~output_on_chip =
   let h = Fp.empty in
   let h = Fp.int h first in
   let h = Fp.int h last in
-  let h = Fp.array fp_engine_sig h engs in
+  let h = Fp.array Engine.Ce.fp_signature h engs in
   let h = Fp.int h ws in
   let h = Fp.array Fp.int h rows in
   let h = Fp.array Fp.int h fm in
@@ -199,17 +169,19 @@ let absorb ~into t =
   into.p_hits <- into.p_hits + t.p_hits;
   into.p_misses <- into.p_misses + t.p_misses
 
+let find_piece pieces cap =
+  List.find_opt (fun p -> p.cap_lo <= cap && cap <= p.cap_hi) pieces
+
+let single_pieces t key =
+  Option.value (Single_tbl.find_opt t.singles key) ~default:[]
+
 let single t ~engine ~cap ~first ~last ~input_on_chip ~output_on_chip compute =
   let key =
-    single_key ~eng:(engine_sig engine) ~first ~last ~input_on_chip
+    single_key ~eng:engine.Engine.Ce.signature ~first ~last ~input_on_chip
       ~output_on_chip
   in
-  let pieces =
-    Option.value (Single_tbl.find_opt t.singles key) ~default:[]
-  in
-  match
-    List.find_opt (fun p -> p.cap_lo <= cap && cap <= p.cap_hi) pieces
-  with
+  let pieces = single_pieces t key in
+  match find_piece pieces cap with
   | Some p ->
     t.s_hits <- t.s_hits + 1;
     Mccm_obs.Metric.incr c_s_hit;
@@ -221,11 +193,22 @@ let single t ~engine ~cap ~first ~last ~input_on_chip ~output_on_chip compute =
     Single_tbl.replace t.singles key ({ cap_lo; cap_hi; piece = r } :: pieces);
     r
 
+let find_single t ~engine ~cap ~first ~last ~input_on_chip ~output_on_chip =
+  let key =
+    single_key ~eng:engine.Engine.Ce.signature ~first ~last ~input_on_chip
+      ~output_on_chip
+  in
+  Option.map (fun p -> p.piece) (find_piece (single_pieces t key) cap)
+
+let pipe_key_of ~engines ~plan ~first ~last ~input_on_chip ~output_on_chip =
+  pipe_key
+    ~engs:(Array.map (fun e -> e.Engine.Ce.signature) engines)
+    ~plan ~first ~last ~input_on_chip ~output_on_chip
+
 let pipelined t ~engines ~plan ~first ~last ~input_on_chip ~output_on_chip
     compute =
   let key =
-    pipe_key ~engs:(Array.map engine_sig engines) ~plan ~first ~last
-      ~input_on_chip ~output_on_chip
+    pipe_key_of ~engines ~plan ~first ~last ~input_on_chip ~output_on_chip
   in
   match Pipe_tbl.find_opt t.pipes key with
   | Some r ->
@@ -238,3 +221,8 @@ let pipelined t ~engines ~plan ~first ~last ~input_on_chip ~output_on_chip
     let r = compute () in
     Pipe_tbl.add t.pipes key r;
     r
+
+let find_pipelined t ~engines ~plan ~first ~last ~input_on_chip
+    ~output_on_chip =
+  Pipe_tbl.find_opt t.pipes
+    (pipe_key_of ~engines ~plan ~first ~last ~input_on_chip ~output_on_chip)

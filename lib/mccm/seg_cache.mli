@@ -54,6 +54,30 @@ val pipelined :
   (unit -> Pipelined_model.result) ->
   Pipelined_model.result
 
+val find_single :
+  t ->
+  engine:Engine.Ce.t ->
+  cap:int ->
+  first:int ->
+  last:int ->
+  input_on_chip:bool ->
+  output_on_chip:bool ->
+  Single_ce_model.result option
+(** The result {!single} would return from the cache for these
+    arguments, or [None] where it would compute.  A probe: it computes
+    nothing, stores nothing and counts neither a hit nor a miss. *)
+
+val find_pipelined :
+  t ->
+  engines:Engine.Ce.t array ->
+  plan:Builder.Buffer_alloc.pipelined_plan ->
+  first:int ->
+  last:int ->
+  input_on_chip:bool ->
+  output_on_chip:bool ->
+  Pipelined_model.result option
+(** {!find_single} for pipelined blocks. *)
+
 val hits : t -> int
 val misses : t -> int
 

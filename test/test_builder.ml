@@ -384,6 +384,60 @@ let test_audit_clean_on_baselines () =
         (Arch.Baselines.all_instances res50))
     [ Platform.Board.zc706; Platform.Board.vcu110; Platform.Board.zcu102 ]
 
+(* Every plan of the zoo baselines on every board, folded into one
+   fingerprint recorded before the greedy passes stopped sorting lists
+   of candidates.  Their tie-breaks (which retention candidate or FM
+   grant goes first among equals) reach no end-to-end golden, so this
+   pin is what catches a changed order. *)
+let test_plans_pinned () =
+  let module Fp = Util.Fingerprint in
+  let fp_plan h (p : Builder.Buffer_alloc.t) =
+    let h =
+      Fp.array
+        (fun h -> function
+          | Builder.Buffer_alloc.Plan_single s ->
+            Fp.int (Fp.int (Fp.int h s.weights_tile_bytes) s.fm_capacity_bytes)
+              s.fm_ideal_bytes
+          | Builder.Buffer_alloc.Plan_pipelined q ->
+            let h = Fp.int (Fp.int h q.tiles_per_image) q.width_split in
+            let h = Fp.array Fp.int h q.tile_rows in
+            let h = Fp.array Fp.int h q.fm_tile_bytes in
+            let h = Fp.array Fp.bool h q.weights_retained in
+            Fp.int h q.weights_staging_bytes)
+        h p.block_plans
+    in
+    let h = Fp.array Fp.bool h p.inter_seg_on_chip in
+    let h = Fp.array Fp.int h p.inter_seg_bytes in
+    Fp.bool (Fp.int h p.total_bytes) p.feasible
+  in
+  let h = ref Fp.empty and n = ref 0 in
+  List.iter
+    (fun model ->
+      let table = Cnn.Table.of_model model in
+      List.iter
+        (fun board ->
+          List.iter
+            (fun ces ->
+              List.iter
+                (fun make ->
+                  match make ~ces model with
+                  | exception Invalid_argument _ -> ()
+                  | archi ->
+                    incr n;
+                    h :=
+                      fp_plan !h
+                        (Builder.Build.build ~table model board archi)
+                          .Builder.Build.plan)
+                [ Arch.Baselines.segmented; Arch.Baselines.segmented_rr;
+                  Arch.Baselines.hybrid ])
+            [ 2; 3; 4; 5; 7; 9; 12 ])
+        Platform.Board.all)
+    (Cnn.Model_zoo.extended ());
+  check "plans" 672 !n;
+  Alcotest.(check string)
+    "plan fingerprint" "3703c3cc29a5b05c"
+    (Printf.sprintf "%x" (Fp.to_int !h))
+
 let test_audit_flags_corruption () =
   let archi = Arch.Baselines.segmented ~ces:4 res50 in
   let b = Builder.Build.build ~table:res50_table res50 Platform.Board.zcu102 archi in
@@ -441,6 +495,38 @@ let prop_pe_distribution =
       QCheck2.assume (budget >= Array.length workloads);
       let pes = Builder.Pe_allocation.distribute ~budget ~workloads in
       Array.fold_left ( + ) 0 pes = budget && Array.for_all (fun p -> p >= 1) pes)
+
+(* The largest-remainder rule as a sort, the way [distribute] computed
+   it before it ordered the remainders by insertion. *)
+let distribute_by_sort ~budget ~workloads =
+  let n = Array.length workloads in
+  let total = Array.fold_left ( + ) 0 workloads in
+  let weights = if total = 0 then Array.make n 1 else workloads in
+  let wsum = Array.fold_left ( + ) 0 weights in
+  let spare = budget - n in
+  let extra = Array.map (fun w -> spare * w / wsum) weights in
+  let leftover = spare - Array.fold_left ( + ) 0 extra in
+  let remainder i = (spare * weights.(i)) - (extra.(i) * wsum) in
+  let idx = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      match compare (remainder b) (remainder a) with 0 -> compare a b | c -> c)
+    idx;
+  for k = 0 to leftover - 1 do
+    extra.(idx.(k)) <- extra.(idx.(k)) + 1
+  done;
+  Array.map (fun e -> 1 + e) extra
+
+(* Small, often repeated workloads, so that remainders tie. *)
+let prop_distribute_matches_sort =
+  QCheck2.Test.make ~count:500
+    ~name:"distribute gives leftovers by remainder, ties to the lower index"
+    QCheck2.Gen.(
+      pair (int_range 0 60) (array_size (int_range 1 10) (int_range 0 4)))
+    (fun (extra_budget, workloads) ->
+      let budget = Array.length workloads + extra_budget in
+      Builder.Pe_allocation.distribute ~budget ~workloads
+      = distribute_by_sort ~budget ~workloads)
 
 let prop_share_upper_bound =
   QCheck2.Test.make
@@ -583,8 +669,9 @@ let slot_case (label, table) =
           (oneofl Platform.Board.all);
       ]
   in
-  let slots = Builder.Workload.pipelined_assignment ~ces ~first ~last in
-  return { label = label ^ " slot"; table; pes; indices = slots.(slot) }
+  return
+    { label = label ^ " slot"; table; pes;
+      indices = Builder.Workload.slot_layers ~ces ~first ~last ~slot }
 
 let matches_oracle modes c =
   let expected, channel_mode =
@@ -615,12 +702,11 @@ let test_search_matches_oracle () =
       List.iter
         (fun (label, table) ->
           let last = min 15 (Cnn.Table.num_layers table - 1) in
-          let slots =
-            Builder.Workload.pipelined_assignment ~ces:4 ~first:0 ~last
-          in
           let c =
             { label = Printf.sprintf "%s slot %d" label b; table; pes;
-              indices = slots.(b mod 4) }
+              indices =
+                Builder.Workload.slot_layers ~ces:4 ~first:0 ~last
+                  ~slot:(b mod 4) }
           in
           if not (matches_oracle modes c) then
             Alcotest.failf "oracle differs at the %s cap: %a"
@@ -737,7 +823,8 @@ let test_cycle_floor_brute_force () =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_pe_distribution; prop_share_upper_bound; prop_ifm_rows_monotone;
+      prop_pe_distribution; prop_distribute_matches_sort;
+      prop_share_upper_bound; prop_ifm_rows_monotone;
       prop_row_tiles_roundtrip; prop_producer_tile_range;
     ]
 
@@ -790,6 +877,7 @@ let () =
           Alcotest.test_case "audit clean" `Slow test_audit_clean_on_baselines;
           Alcotest.test_case "audit flags corruption" `Quick
             test_audit_flags_corruption;
+          Alcotest.test_case "plans pinned" `Quick test_plans_pinned;
         ] );
       ( "build",
         [

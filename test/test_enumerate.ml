@@ -326,22 +326,37 @@ let test_pruning_pays () =
   check "accounting" stats.Dse.Enumerate.enumerated
     (stats.Dse.Enumerate.evaluated + stats.Dse.Enumerate.pruned)
 
+(* [f ()] with metrics on, and the count [f] added to [counter]. *)
+let counted counter f =
+  let c = Mccm_obs.Metric.counter counter in
+  Mccm_obs.enable ();
+  let before = Mccm_obs.Metric.value c in
+  let r = Fun.protect ~finally:Mccm_obs.disable f in
+  (r, Mccm_obs.Metric.value c - before)
+
 (* The bounds, bit for bit: the exhaustive counts and winner of two
    CLI-default workloads (20 000 specs), and the summed bounds of their
    first 2 000 specs as hex floats, all recorded before the floors were
    computed per layer shape.  The visit follows the bounds, so the
    pruned count moves if any floor changes; the sums also pin the
-   floors of MobileNetV2, where nothing is pruned. *)
+   floors of MobileNetV2, where nothing is pruned.  Beside the counts,
+   [cut] pins how many visited specs the segment cache's early exit
+   decided without running the cost model (the "dse.exhaustive.cut"
+   counter, on one domain): it moves if the probe gets looser or
+   tighter.  On MobileNetV2 the bounds prune nothing, so every skip
+   there is the early exit's. *)
 let test_bounds_pinned () =
-  let pin name model board ces objective ~counts ~spec ~sums =
-    let got, stats =
-      Dse.Enumerate.exhaustive_best ~max_specs:20000 ~objective ~ces model
-        board
+  let pin name model board ces objective ~counts ~cut ~spec ~sums =
+    let (got, stats), cuts =
+      counted "dse.exhaustive.cut" (fun () ->
+          Dse.Enumerate.exhaustive_best ~max_specs:20000 ~objective ~ces
+            model board)
     in
     Alcotest.(check (triple int int int))
       (name ^ ": enumerated, evaluated, pruned")
       counts
       Dse.Enumerate.(stats.enumerated, stats.evaluated, stats.pruned);
+    check (name ^ ": cut by the early exit") cut cuts;
     (match got with
      | Some e ->
        Alcotest.(check (pair int (list int)))
@@ -366,17 +381,33 @@ let test_bounds_pinned () =
   in
   pin "Res152/VCU108 ces=10 throughput" (Cnn.Model_zoo.resnet152 ())
     Platform.Board.vcu108 10 `Throughput ~counts:(20000, 9009, 10991)
+    ~cut:7816
     ~spec:(1, [ 2; 3; 4; 5; 6; 8; 99; 103 ])
     ~sums:
       ( "0x1.98ad16dfaf975p+14",
         "0x1.315ee9a05aeedp+10",
         "0x1.c7d95cc3932aap+34" );
   pin "MobV2/ZC706 ces=6 latency" mobv2 Platform.Board.zc706 6 `Latency
-    ~counts:(20000, 20000, 0) ~spec:(1, [ 2; 40; 41; 43 ])
+    ~counts:(20000, 20000, 0) ~cut:11648 ~spec:(1, [ 2; 40; 41; 43 ])
     ~sums:
       ( "0x1.1d88ceaa3dc47p+20",
         "0x1.3a01ef73be8e1p+4",
         "0x1.463267aa870dbp+29" )
+
+(* [--no-prune] stays the oracle: the early exit is off, so every
+   visited spec runs the cost model. *)
+let test_no_prune_runs_every_spec () =
+  let res152 = Cnn.Model_zoo.resnet152 () in
+  let session = Mccm.Eval_session.create res152 board in
+  let (_, stats), cuts =
+    counted "dse.exhaustive.cut" (fun () ->
+        Dse.Enumerate.exhaustive_best ~session ~max_specs:2000 ~prune:false
+          ~objective:`Throughput ~ces:10 res152 board)
+  in
+  check "nothing cut" 0 cuts;
+  check "every spec evaluated" 2000 stats.Dse.Enumerate.evaluated;
+  check "every spec ran the cost model" 2000
+    (Mccm.Eval_session.stats session).Mccm.Eval_session.evaluations
 
 let test_reports_no_nodes () =
   List.iter
@@ -565,6 +596,8 @@ let () =
             test_bounds_pinned;
           Alcotest.test_case "scan reports no nodes" `Quick
             test_reports_no_nodes;
+          Alcotest.test_case "no prune runs every spec" `Quick
+            test_no_prune_runs_every_spec;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
             prop_evaluated_between_bound_counts;
         ] );

@@ -153,6 +153,89 @@ let prop_exhaustive_session_invisible =
       in
       run true = run false)
 
+(* ------------------------------------------- early exit (soundness) *)
+
+let res50 = Cnn.Model_zoo.resnet50 ()
+
+(* A 12-layer chain of identical layers, where many designs tie. *)
+let chain12 =
+  Cnn.Model.v ~name:"Chain12" ~abbreviation:"C12"
+    ~layers:
+      (List.init 12 (fun i ->
+           Cnn.Layer.v ~index:i ~name:(Printf.sprintf "c%d" i)
+             ~kind:Cnn.Layer.Standard
+             ~in_shape:(Cnn.Shape.v ~channels:16 ~height:28 ~width:28)
+             ~out_channels:16 ~kernel:3 ~stride:1 ~padding:1 ()))
+
+let score objective (m : Mccm.Metrics.t) =
+  if not m.Mccm.Metrics.feasible then neg_infinity
+  else
+    match objective with
+    | `Throughput -> m.Mccm.Metrics.throughput_ips
+    | `Latency -> -.m.Mccm.Metrics.latency_s
+
+(* [metrics_unless_beaten] may rule out only a design that scores
+   strictly below the cutoff or is infeasible, and never one that
+   reaches it.  Each case warms a session with other random specs, then
+   asks about one more spec at cutoffs around its true score: well
+   below, at [Float.pred], at the score itself, at [Float.succ] and well
+   above.  The cutoffs go from the highest down, so the first ones meet
+   a cache holding only the warm-up's blocks; after a full evaluation
+   the spec is asked again, when every one of its blocks is cached and
+   a tie is decided by cached blocks alone.  An answer, when given, is
+   the spec's exact metrics. *)
+let prop_early_exit_sound =
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (oneofl [ ("Res50", res50); ("MobV2", mobv2); ("Chain12", chain12) ])
+        (oneofl [ `Throughput; `Latency ])
+        Generators.seed)
+  in
+  let print ((name, _), objective, seed) =
+    Printf.sprintf "%s %s seed=%Ld" name
+      (match objective with `Throughput -> "throughput" | `Latency -> "latency")
+      seed
+  in
+  QCheck2.Test.make ~name:"early exit rules out only losing designs"
+    ~count:40 ~print gen
+    (fun ((_, model), objective, seed) ->
+      let rng = Util.Prng.create ~seed in
+      let num_layers = Cnn.Model.num_layers model in
+      let ce_counts =
+        List.filter (fun c -> c <= num_layers) [ 2; 3; 4; 5; 6; 8 ]
+      in
+      let draw () =
+        Arch.Custom.arch_of_spec model
+          (Dse.Space.random_spec rng ~num_layers ~ce_counts)
+      in
+      let session = Mccm.Eval_session.create model board in
+      for _ = 1 to 5 + Util.Prng.int rng ~bound:30 do
+        ignore (Mccm.Eval_session.metrics ~store_arch:false session (draw ()))
+      done;
+      let archi = draw () in
+      let truth = Mccm.Evaluate.metrics model board archi in
+      let s = score objective truth in
+      let cutoffs =
+        if s = neg_infinity then [ neg_infinity; 0.0 ]
+        else
+          let spread = Float.abs s *. (0.01 +. Util.Prng.float rng) in
+          [ s +. spread; Float.succ s; s; Float.pred s; s -. spread ]
+      in
+      let ask cutoff =
+        match
+          Mccm.Eval_session.metrics_unless_beaten session ~objective ~cutoff
+            archi
+        with
+        | Some m -> m = truth
+        | None ->
+          (not truth.Mccm.Metrics.feasible) || s < cutoff
+      in
+      let all_sound () = List.for_all ask cutoffs in
+      let first_pass = all_sound () in
+      ignore (Mccm.Eval_session.metrics ~store_arch:false session archi);
+      first_pass && all_sound ())
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -160,6 +243,7 @@ let properties =
       prop_shared_session_bit_identical;
       prop_local_search_session_invisible;
       prop_exhaustive_session_invisible;
+      prop_early_exit_sound;
     ]
 
 let () =

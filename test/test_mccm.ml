@@ -854,6 +854,22 @@ let test_evaluate_initiation_interval () =
     (e.Mccm.Evaluate.initiation_interval_s
     <= e.Mccm.Evaluate.metrics.Mccm.Metrics.latency_s +. 1e-12)
 
+(* Segment labels come from a precomputed table up to its end and are
+   built past it; both must read "seg1", "seg2", ... in execution
+   order.  Res152 split into 100 single-CE segments crosses the end. *)
+let test_segment_labels () =
+  let res152 = Cnn.Model_zoo.resnet152 () in
+  let e =
+    Mccm.Evaluate.evaluate res152 Platform.Board.vcu108
+      (Arch.Baselines.segmented ~ces:100 res152)
+  in
+  Alcotest.(check (list string))
+    "labels"
+    (List.init 100 (fun i -> Printf.sprintf "seg%d" (i + 1)))
+    (List.map
+       (fun (s : Mccm.Breakdown.segment) -> s.Mccm.Breakdown.label)
+       e.Mccm.Evaluate.breakdown.Mccm.Breakdown.segments)
+
 let test_evaluate_deterministic () =
   let run () =
     Mccm.Evaluate.metrics mobv2 Platform.Board.vcu110
@@ -1043,6 +1059,7 @@ let () =
             test_evaluate_initiation_interval;
           Alcotest.test_case "deterministic" `Quick test_evaluate_deterministic;
           Alcotest.test_case "one-shot heap flat" `Quick test_oneshot_heap_flat;
+          Alcotest.test_case "segment labels" `Quick test_segment_labels;
         ] );
       ("properties", properties);
     ]

@@ -1,7 +1,8 @@
 (* Tiny shared helpers for builder and model tests. *)
 
 let assignment () =
-  Builder.Workload.pipelined_assignment ~ces:3 ~first:0 ~last:6
+  Array.init 3 (fun slot ->
+      Builder.Workload.slot_layers ~ces:3 ~first:0 ~last:6 ~slot)
 
 (* A session-less build of [archi], reading per-layer scalars from a
    fresh table of [model]. *)
